@@ -350,15 +350,15 @@ ParallelRow RunParallelCell(int departments, int per_dept, int rounds,
     // Harvest counters and the trace from the last repetition (every
     // repetition replays the identical simulation, so they all agree).
     row.messages = system.network().total_messages_sent();
-    auto* pex = dynamic_cast<sim::ParallelExecutor*>(&system.executor());
-    row.lanes = pex->num_lanes();
-    row.windows = pex->windows_executed();
-    row.supersteps = pex->supersteps();
-    row.cross_posts = pex->cross_posts();
-    row.clamped = pex->clamped_cross_posts();
-    row.elided = pex->elided_cross_posts();
-    row.parallelism = pex->parallelism();
-    row.stats_block = pex->DescribeStats();
+    const sim::ParallelExecutor& ex = system.executor();
+    row.lanes = ex.num_lanes();
+    row.windows = ex.windows_executed();
+    row.supersteps = ex.supersteps();
+    row.cross_posts = ex.cross_posts();
+    row.clamped = ex.clamped_cross_posts();
+    row.elided = ex.elided_cross_posts();
+    row.parallelism = ex.parallelism();
+    row.stats_block = ex.DescribeStats();
     trace::Trace t = system.FinishTrace();
     row.events = t.events.size();
     row.trace_hash = TraceHash(t);

@@ -70,7 +70,7 @@ struct PayrollDeployment {
   static PayrollDeployment Create(const std::string& rid_a_interfaces,
                                   int num_employees,
                                   sim::NetworkConfig net = {},
-                                  size_t num_threads = 0,
+                                  size_t num_threads = 1,
                                   bool use_reference_impl = false) {
     toolkit::SystemOptions opts;
     opts.network = net;

@@ -2,8 +2,9 @@
 //
 // Usage:  ./build/examples/scenario_runner [--threads=N] [scenario-file]
 // With no scenario file, runs the embedded payroll scenario below.
-// --threads=N runs it on the parallel engine with N workers (the 'check'
-// command then also prints the executor's superstep/clamp/elision stats).
+// --threads=N runs it with N engine workers (default 1); the trace, and so
+// every 'check', is the same at any N. Each 'check' also prints the
+// executor's superstep/clamp/elision stats.
 //
 // Scenario format ('#' comments):
 //   relational-site <name>          open a relational source
@@ -246,9 +247,7 @@ int main(int argc, char** argv) {
   toolkit::SystemOptions options;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      // Run the scenario on the site-sharded parallel engine; the stats
-      // block after each 'check' then reports supersteps, windows, and
-      // clamped/elided cross-lane posts.
+      // Worker threads of the site-sharded engine.
       options.num_threads = static_cast<size_t>(std::atol(argv[i] + 10));
       continue;
     }

@@ -34,7 +34,7 @@ namespace hcm::rule {
 //      replies feed back into matching; they are rejected.
 //
 // Messages fired by a rule passing this test may skip the parallel
-// engine's window clamp (sim::Executor::PostElidableAt): delivering the
+// engine's window clamp (sim::ParallelExecutor::PostElidableAt): delivering the
 // fire earlier or later relative to other lanes' windows changes neither
 // which facts it derives nor their recorded timestamps, because per-channel
 // FIFO order still holds and each binding's update chain has a single

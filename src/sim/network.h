@@ -14,8 +14,8 @@
 #include "src/common/rng.h"
 #include "src/common/status.h"
 #include "src/common/symbols.h"
-#include "src/sim/executor.h"
 #include "src/sim/failure_injector.h"
+#include "src/sim/parallel_executor.h"
 
 namespace hcm::sim {
 
@@ -76,7 +76,7 @@ class Network {
  public:
   using Handler = std::function<void(const Message&)>;
 
-  Network(Executor* executor, NetworkConfig config)
+  Network(ParallelExecutor* executor, NetworkConfig config)
       : executor_(executor), config_(config) {}
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -127,7 +127,7 @@ class Network {
   TimePoint ComputeDeliveryTime(Channel* channel, const Message& message,
                                 const Endpoint* endpoint);
 
-  Executor* executor_;
+  ParallelExecutor* executor_;
   NetworkConfig config_;
   const FailureInjector* injector_ = nullptr;
   std::map<SiteId, Endpoint> endpoints_;

@@ -533,13 +533,12 @@ size_t ParallelExecutor::RunUntil(TimePoint deadline) {
   // The run boundary is inclusive of `deadline` itself; epoch ends are
   // exclusive, so cap at one tick past it.
   const TimePoint cap = deadline + Duration::Millis(1);
-  while (EarliestPending(&earliest) && earliest <= deadline) {
+  bool pending = EarliestPending(&earliest);
+  while (pending && earliest <= deadline) {
     steps += RunSuperstep(earliest, /*has_cap=*/true, cap);
+    pending = EarliestPending(&earliest);
     if (barrier_hook_) {
-      TimePoint safe = deadline;
-      TimePoint next;
-      if (EarliestPending(&next) && next < safe) safe = next;
-      barrier_hook_(safe);
+      barrier_hook_(pending && earliest < deadline ? earliest : deadline);
     }
   }
   if (global_now_ < deadline) global_now_ = deadline;
@@ -552,12 +551,11 @@ size_t ParallelExecutor::RunUntil(TimePoint deadline) {
 size_t ParallelExecutor::RunUntilIdle(size_t max_steps) {
   size_t steps = 0;
   TimePoint earliest;
-  while (EarliestPending(&earliest)) {
+  bool pending = EarliestPending(&earliest);
+  while (pending) {
     steps += RunSuperstep(earliest, /*has_cap=*/false, TimePoint());
-    if (barrier_hook_) {
-      TimePoint next;
-      if (EarliestPending(&next)) barrier_hook_(next);
-    }
+    pending = EarliestPending(&earliest);
+    if (barrier_hook_ && pending) barrier_hook_(earliest);
     // Superstep-granular bound: we never cut a superstep short, so the
     // count may overshoot max_steps by up to one superstep.
     if (max_steps != 0 && steps >= max_steps) break;

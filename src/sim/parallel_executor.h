@@ -6,6 +6,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -14,6 +15,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/sim_time.h"
 #include "src/common/symbols.h"
 #include "src/sim/executor.h"
 
@@ -46,12 +48,15 @@ struct ParallelExecutorConfig {
   bool honor_elidable = true;
 };
 
-// Site-sharded discrete-event executor: the conservative-time-window PDES
-// engine behind SystemOptions::num_threads.
+// The discrete-event engine: a site-sharded executor with a virtual clock,
+// run by conservative time windows (PDES).
 //
-// Every callback is tagged (via the site-tagged ScheduleAt/PostAt variants)
-// with the site whose work it performs; each site gets a *lane* — its own
-// queue, clock, sequence counter, and timer pool. Time is diced into
+// All components of the simulated distributed system (raw information
+// sources, CM-Translators, CM-Shells, workload generators, the network)
+// schedule callbacks here, each tagged (via the site-tagged ScheduleAt/PostAt
+// variants) with the site whose work it performs; each site gets a *lane* —
+// its own queue, clock, sequence counter, and timer pool. Within a lane,
+// callbacks run in (time, sequence) order. Time is diced into
 // lookahead-wide *epochs* grouped into *supersteps* of `depth` epochs:
 //
 //   plan    (driver): anchor the superstep at the earliest pending
@@ -81,7 +86,8 @@ struct ParallelExecutorConfig {
 // never of worker interleaving, so a run with N workers executes callbacks
 // in exactly the per-lane orders a 1-worker run does — traces and results
 // are bit-identical for any num_threads (the parallel-equivalence suite
-// enforces this).
+// enforces this). The one total order over a run's events (Appendix A.2
+// property 1) is the trace recorder's (time, site) merge of the lanes.
 //
 // Conservativeness: a cross-lane post due inside the epoch it was emitted
 // in would have raced that epoch; it is clamped to the epoch end and
@@ -89,44 +95,93 @@ struct ParallelExecutorConfig {
 // PostElidableAt — messages fired by statically monotone rules, which per
 // CALM need no coordination — skip the clamp and keep their natural
 // delivery time (elided_cross_posts()); the destination lane's clock may
-// step backwards over them, which the sharded trace recorder's stable sort
+// step backwards over them, which the trace recorder's stable sort
 // absorbs. Untagged scheduling from inside a lane callback stays on that
 // lane; untagged scheduling from outside any superstep (e.g. main-thread
 // setup) lands on a control lane named "".
 //
-// Limitations (documented, asserted where cheap): Step()/RunRealtimeFor
-// are unsupported; Timers for cross-lane schedules cannot be cancelled;
-// Timer::Cancel must be called from the owning lane or between runs.
-class ParallelExecutor : public Executor {
+// Limitations (documented, asserted where cheap): Timers for cross-lane
+// schedules cannot be cancelled; Timer::Cancel must be called from the
+// owning lane or between runs.
+class ParallelExecutor {
  public:
   // Upper bound on epochs per superstep (sizes the per-channel segment
   // ring, which is why it is a compile-time constant).
   static constexpr size_t kMaxEpochsPerSuperstep = 16;
 
-  explicit ParallelExecutor(ParallelExecutorConfig config);
-  ~ParallelExecutor() override;
+  explicit ParallelExecutor(ParallelExecutorConfig config = {});
+  ~ParallelExecutor();
+  ParallelExecutor(const ParallelExecutor&) = delete;
+  ParallelExecutor& operator=(const ParallelExecutor&) = delete;
 
-  TimePoint now() const override;
+  // The calling lane's clock inside a callback; the global clock outside.
+  TimePoint now() const;
 
-  Timer ScheduleAt(TimePoint when, std::function<void()> fn) override;
-  void PostAt(TimePoint when, std::function<void()> fn) override;
+  // --- Untagged scheduling: stays on the calling lane inside a callback,
+  // lands on the control lane "" outside one. Times before now() are
+  // clamped to now(); negative delays to zero. ---
+  Timer ScheduleAt(TimePoint when, std::function<void()> fn);
+  Timer ScheduleAfter(Duration delay, std::function<void()> fn) {
+    return ScheduleAt(now() + ClampDelay(delay), std::move(fn));
+  }
+  // Fire-and-forget variants: no Timer handle, so no cancellation ticket.
+  // The hot event path (network deliveries, RHS step chains) uses these.
+  void PostAt(TimePoint when, std::function<void()> fn);
+  void PostAfter(Duration delay, std::function<void()> fn) {
+    PostAt(now() + ClampDelay(delay), std::move(fn));
+  }
+
+  // --- Site-tagged variants: `site` is the endpoint or site whose work the
+  // callback performs (suffixes after '#' are ignored); the callback runs
+  // on that site's lane. ---
   Timer ScheduleAt(const SiteId& site, TimePoint when,
-                   std::function<void()> fn) override;
-  void PostAt(const SiteId& site, TimePoint when,
-              std::function<void()> fn) override;
-  // Symbol-tagged fast path: lane routing by interned base-site id — an
-  // integer compare on the same-lane check, a hash-map probe otherwise.
-  // The string-tagged variants above intern and delegate here.
-  Timer ScheduleAt(uint32_t site_sym, TimePoint when,
-                   std::function<void()> fn) override;
-  void PostAt(uint32_t site_sym, TimePoint when,
-              std::function<void()> fn) override;
-  void PostElidableAt(uint32_t site_sym, TimePoint when,
-                      std::function<void()> fn) override;
+                   std::function<void()> fn);
+  Timer ScheduleAfter(const SiteId& site, Duration delay,
+                      std::function<void()> fn) {
+    return ScheduleAt(site, now() + ClampDelay(delay), std::move(fn));
+  }
+  void PostAt(const SiteId& site, TimePoint when, std::function<void()> fn);
+  void PostAfter(const SiteId& site, Duration delay,
+                 std::function<void()> fn) {
+    PostAt(site, now() + ClampDelay(delay), std::move(fn));
+  }
 
-  size_t RunUntil(TimePoint deadline) override;
-  size_t RunUntilIdle(size_t max_steps = 0) override;
-  size_t pending_count() const override;
+  // --- Symbol-tagged variants: `site_sym` is the interned id of the *base*
+  // site name (callers strip any '#' endpoint suffix before interning; see
+  // BaseSiteOf). Hot senders that already carry an interned destination
+  // (Network deliveries, shell step chains) use these to skip the per-call
+  // string hash/substr: lane routing is an integer compare on the same-lane
+  // check, a hash-map probe otherwise. ---
+  Timer ScheduleAt(uint32_t site_sym, TimePoint when,
+                   std::function<void()> fn);
+  Timer ScheduleAfter(uint32_t site_sym, Duration delay,
+                      std::function<void()> fn) {
+    return ScheduleAt(site_sym, now() + ClampDelay(delay), std::move(fn));
+  }
+  void PostAt(uint32_t site_sym, TimePoint when, std::function<void()> fn);
+  void PostAfter(uint32_t site_sym, Duration delay,
+                 std::function<void()> fn) {
+    PostAt(site_sym, now() + ClampDelay(delay), std::move(fn));
+  }
+
+  // Like PostAt(site_sym, ...), but the callback is declared *elidable*:
+  // it carries the effect of a statically monotone rule (CALM), so it is
+  // delivered without clamping it to its synchronization window.
+  void PostElidableAt(uint32_t site_sym, TimePoint when,
+                      std::function<void()> fn);
+
+  // Runs callbacks with scheduled time <= `deadline`, then sets the clock to
+  // `deadline`. Periodic self-rescheduling tasks (e.g. polling strategies)
+  // make the queue never-empty, so bounded runs are the normal mode.
+  size_t RunUntil(TimePoint deadline);
+  // Runs for `d` of virtual time from now().
+  size_t RunFor(Duration d) { return RunUntil(now() + d); }
+  // Runs callbacks until every lane is idle. Returns the number executed.
+  // `max_steps` bounds runaway self-rescheduling loops (0 = unlimited); it
+  // is checked between supersteps, so the count may overshoot it by up to
+  // one superstep.
+  size_t RunUntilIdle(size_t max_steps = 0);
+  size_t pending_count() const;
 
   // --- Introspection (benches, tests; call between runs) ---
   size_t num_lanes() const { return lanes_.size(); }
@@ -149,17 +204,20 @@ class ParallelExecutor : public Executor {
   // The human-readable stats block examples and benches print.
   std::string DescribeStats() const;
 
-  // Streaming-check support: invoked on the driver thread after every
-  // superstep barrier with an instant `safe` such that every event the run
-  // will ever produce strictly before `safe` has already been recorded
-  // (the next pending callback, capped at the run deadline). The System
-  // uses it to flush the recorder's safe prefix into an attached sink
-  // while the simulation keeps running.
+  // Invoked on the driver thread after every superstep barrier with an
+  // instant `safe` such that every event the run will ever produce strictly
+  // before `safe` has already been recorded (the next pending callback,
+  // capped at the run deadline). The System uses it to flush the recorder's
+  // safe prefix into an attached sink while the simulation keeps running.
   void SetBarrierHook(std::function<void(TimePoint safe)> hook) {
     barrier_hook_ = std::move(hook);
   }
 
  private:
+  static Duration ClampDelay(Duration d) {
+    return d < Duration::Zero() ? Duration::Zero() : d;
+  }
+
   struct Entry {
     TimePoint when;
     uint64_t seq;

@@ -8,8 +8,9 @@
 
 namespace hcm::toolkit {
 
-Shell::Shell(std::string site, sim::Executor* executor, sim::Network* network,
-             trace::TraceRecorder* recorder, const ItemRegistry* registry,
+Shell::Shell(std::string site, sim::ParallelExecutor* executor,
+             sim::Network* network, trace::TraceRecorder* recorder,
+             const ItemRegistry* registry,
              GuaranteeStatusRegistry* guarantees)
     : site_(std::move(site)),
       site_sym_(Symbols().Intern(site_)),
@@ -117,9 +118,9 @@ void Shell::ArmPeriodicRule(int64_t rule_id, Duration period,
       periodic_dirty_.insert(rule_id);
       store_->LogPeriodicFire(rule_id, next, executor_->now());
     }
-    executor_->ScheduleAfter(site_, period, *fire);
+    executor_->ScheduleAfter(site_sym_, period, *fire);
   };
-  executor_->ScheduleAt(site_, first_fire, *fire);
+  executor_->ScheduleAt(site_sym_, first_fire, *fire);
 }
 
 void Shell::AddPeriodicTask(Duration period, std::function<void()> task) {
@@ -129,9 +130,9 @@ void Shell::AddPeriodicTask(Duration period, std::function<void()> task) {
   *fire = [this, epoch, period, shared_task, fire]() {
     if (epoch != epoch_) return;
     (*shared_task)();
-    executor_->ScheduleAfter(site_, period, *fire);
+    executor_->ScheduleAfter(site_sym_, period, *fire);
   };
-  executor_->ScheduleAfter(site_, period, *fire);
+  executor_->ScheduleAfter(site_sym_, period, *fire);
 }
 
 Value Shell::ReadPrivate(const rule::ItemId& item) const {
@@ -394,7 +395,7 @@ void Shell::ExecuteStep(int64_t rule_id, int64_t trigger_event_id,
                         uint64_t fire_seq) {
   uint64_t epoch = epoch_;
   executor_->PostAfter(
-      site_, step_delay_,
+      site_sym_, step_delay_,
       [this, epoch, rule_id, trigger_event_id, step, fire_seq,
        binding = std::move(binding)]() mutable {
         if (epoch != epoch_) return;  // scheduled before a crash
@@ -466,7 +467,7 @@ void Shell::ExecuteStepCompiled(int64_t rule_id, int64_t trigger_event_id,
                                 uint64_t fire_seq) {
   uint64_t epoch = epoch_;
   executor_->PostAfter(
-      site_, step_delay_,
+      site_sym_, step_delay_,
       [this, epoch, rule_id, trigger_event_id, step, fire_seq,
        frame = std::move(frame)]() mutable {
         if (epoch != epoch_) return;  // scheduled before a crash
@@ -802,7 +803,7 @@ Result<Shell::RecoverySummary> Shell::Recover() {
     // a full deadline to settle; late-fire notices raised at restart fold
     // into the still-open void window instead of opening a second one.
     uint64_t epoch = epoch_;
-    executor_->ScheduleAfter(site_, max_delta, [this, epoch]() {
+    executor_->ScheduleAfter(site_sym_, max_delta, [this, epoch]() {
       if (epoch != epoch_) return;
       if (guarantees_ != nullptr) {
         guarantees_->ReestablishSite(site_, executor_->now());

@@ -9,7 +9,7 @@
 
 #include "src/rule/rule.h"
 #include "src/rule/rule_index.h"
-#include "src/sim/executor.h"
+#include "src/sim/parallel_executor.h"
 #include "src/sim/network.h"
 #include "src/storage/site_store.h"
 #include "src/toolkit/failure.h"
@@ -48,9 +48,9 @@ class Shell {
     size_t index_buckets = 0;
   };
 
-  Shell(std::string site, sim::Executor* executor, sim::Network* network,
-        trace::TraceRecorder* recorder, const ItemRegistry* registry,
-        GuaranteeStatusRegistry* guarantees);
+  Shell(std::string site, sim::ParallelExecutor* executor,
+        sim::Network* network, trace::TraceRecorder* recorder,
+        const ItemRegistry* registry, GuaranteeStatusRegistry* guarantees);
   Shell(const Shell&) = delete;
   Shell& operator=(const Shell&) = delete;
 
@@ -233,7 +233,7 @@ class Shell {
   // code rebuilt "site#tr" on every WR/RR/DEL send).
   std::string tr_endpoint_;
   uint32_t tr_endpoint_sym_ = kNoSymbol;
-  sim::Executor* executor_;
+  sim::ParallelExecutor* executor_;
   sim::Network* network_;
   trace::TraceRecorder* recorder_;
   const ItemRegistry* registry_;

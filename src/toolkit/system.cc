@@ -2,8 +2,6 @@
 
 #include "src/common/logging.h"
 #include "src/rule/monotone.h"
-#include "src/sim/parallel_executor.h"
-#include "src/trace/sharded_recorder.h"
 #include "src/trace/streaming_checker.h"
 #include "src/common/string_util.h"
 #include "src/toolkit/translators/biblio_translator.h"
@@ -13,27 +11,31 @@
 
 namespace hcm::toolkit {
 
-System::System(SystemOptions options) : options_(options) {
-  if (options_.num_threads > 0) {
-    sim::ParallelExecutorConfig config;
-    config.num_threads = options_.num_threads;
-    // Conservative lookahead: the network's minimum cross-site latency
-    // (clamped to one tick so degenerate configs still make progress).
-    config.lookahead = options_.network.base_latency > Duration::Millis(1)
-                           ? options_.network.base_latency
-                           : Duration::Millis(1);
-    config.max_epochs_per_superstep =
-        options_.max_epochs_per_superstep > 0
-            ? options_.max_epochs_per_superstep
-            : 1;
-    executor_ = std::make_unique<sim::ParallelExecutor>(config);
-    recorder_ = std::make_unique<trace::ShardedTraceRecorder>();
-  } else {
-    executor_ = std::make_unique<sim::Executor>();
-    recorder_ = std::make_unique<trace::TraceRecorder>();
-  }
-  network_ = std::make_unique<sim::Network>(executor_.get(), options_.network);
-  network_->set_failure_injector(&failures_);
+namespace {
+
+sim::ParallelExecutorConfig ExecutorConfigFor(const SystemOptions& options) {
+  sim::ParallelExecutorConfig config;
+  config.num_threads = options.num_threads;
+  // Conservative lookahead: the network's minimum cross-site latency
+  // (clamped to one tick so degenerate configs still make progress).
+  config.lookahead = options.network.base_latency > Duration::Millis(1)
+                         ? options.network.base_latency
+                         : Duration::Millis(1);
+  config.max_epochs_per_superstep = options.max_epochs_per_superstep;
+  return config;
+}
+
+}  // namespace
+
+System::System(SystemOptions options)
+    : options_(options),
+      executor_(ExecutorConfigFor(options)),
+      network_(&executor_, options.network) {
+  network_.set_failure_injector(&failures_);
+  // Merge the recorder's safe prefix at every superstep barrier, so a sink
+  // sees events while the run goes on and the pending shards stay small.
+  executor_.SetBarrierHook(
+      [this](TimePoint safe) { recorder_.FlushSink(safe); });
 }
 
 System::~System() = default;
@@ -86,9 +88,9 @@ Status System::EnsureShell(const std::string& site) {
   if (shells_.count(site) > 0) return Status::OK();
   // Pre-declare the recording shard so parallel lanes never create one
   // concurrently mid-run.
-  recorder_->DeclareSite(site);
-  auto shell = std::make_unique<Shell>(site, executor_.get(), network_.get(),
-                                       recorder_.get(), &registry_,
+  recorder_.DeclareSite(site);
+  auto shell = std::make_unique<Shell>(site, &executor_, &network_,
+                                       &recorder_, &registry_,
                                        &guarantee_status_);
   shell->set_use_reference_impl(options_.use_reference_impl);
   HCM_RETURN_IF_ERROR(shell->Initialize());
@@ -144,32 +146,32 @@ Status System::ConfigureTranslator(const std::string& rid_text) {
       return Status::NotFound("no relational source at site " + site);
     }
     translator = std::make_unique<RelationalTranslator>(
-        std::move(config), it->second.get(), executor_.get(), network_.get(),
-        recorder_.get(), &failures_);
+        std::move(config), it->second.get(), &executor_, &network_,
+        &recorder_, &failures_);
   } else if (config.ris_type == "filestore") {
     auto it = files_.find(site);
     if (it == files_.end()) {
       return Status::NotFound("no file source at site " + site);
     }
     translator = std::make_unique<FilestoreTranslator>(
-        std::move(config), it->second.get(), executor_.get(), network_.get(),
-        recorder_.get(), &failures_);
+        std::move(config), it->second.get(), &executor_, &network_,
+        &recorder_, &failures_);
   } else if (config.ris_type == "whois") {
     auto it = whois_.find(site);
     if (it == whois_.end()) {
       return Status::NotFound("no whois source at site " + site);
     }
     translator = std::make_unique<WhoisTranslator>(
-        std::move(config), it->second.get(), executor_.get(), network_.get(),
-        recorder_.get(), &failures_);
+        std::move(config), it->second.get(), &executor_, &network_,
+        &recorder_, &failures_);
   } else if (config.ris_type == "biblio") {
     auto it = biblio_.find(site);
     if (it == biblio_.end()) {
       return Status::NotFound("no biblio source at site " + site);
     }
     translator = std::make_unique<BiblioTranslator>(
-        std::move(config), it->second.get(), executor_.get(), network_.get(),
-        recorder_.get(), &failures_);
+        std::move(config), it->second.get(), &executor_, &network_,
+        &recorder_, &failures_);
   } else {
     return Status::InvalidArgument("unknown ris type: " + config.ris_type);
   }
@@ -327,12 +329,12 @@ Status System::WorkloadWrite(const rule::ItemId& item, const Value& value) {
   if (before.ok()) old_value = *before;
   HCM_RETURN_IF_ERROR(tr->ApplicationWrite(item, value));
   rule::Event ws;
-  ws.time = executor_->now();
+  ws.time = executor_.now();
   ws.site = tr->site();
   ws.kind = rule::EventKind::kWriteSpont;
   ws.item = item;
   ws.values = {old_value, value};
-  recorder_->Record(ws);
+  recorder_.Record(ws);
   return Status::OK();
 }
 
@@ -341,11 +343,11 @@ Status System::WorkloadInsert(const rule::ItemId& item) {
   HCM_ASSIGN_OR_RETURN(Translator * tr, TranslatorAt(loc.site));
   HCM_RETURN_IF_ERROR(tr->ApplicationInsert(item));
   rule::Event ins;
-  ins.time = executor_->now();
+  ins.time = executor_.now();
   ins.site = tr->site();
   ins.kind = rule::EventKind::kInsert;
   ins.item = item;
-  recorder_->Record(ins);
+  recorder_.Record(ins);
   return Status::OK();
 }
 
@@ -354,11 +356,11 @@ Status System::WorkloadDelete(const rule::ItemId& item) {
   HCM_ASSIGN_OR_RETURN(Translator * tr, TranslatorAt(loc.site));
   HCM_RETURN_IF_ERROR(tr->ApplicationDelete(item));
   rule::Event del;
-  del.time = executor_->now();
+  del.time = executor_.now();
   del.site = tr->site();
   del.kind = rule::EventKind::kDelete;
   del.item = item;
-  recorder_->Record(del);
+  recorder_.Record(del);
   return Status::OK();
 }
 
@@ -371,33 +373,33 @@ Result<Value> System::WorkloadRead(const rule::ItemId& item) {
 void System::NoteSpontaneousInsert(const rule::ItemId& item,
                                    const std::string& site) {
   rule::Event ins;
-  ins.time = executor_->now();
+  ins.time = executor_.now();
   ins.site = site;
   ins.kind = rule::EventKind::kInsert;
   ins.item = item;
-  recorder_->Record(ins);
+  recorder_.Record(ins);
 }
 
 void System::NoteSpontaneousDelete(const rule::ItemId& item,
                                    const std::string& site) {
   rule::Event del;
-  del.time = executor_->now();
+  del.time = executor_.now();
   del.site = site;
   del.kind = rule::EventKind::kDelete;
   del.item = item;
-  recorder_->Record(del);
+  recorder_.Record(del);
 }
 
 Status System::DeclareInitial(const rule::ItemId& item) {
   HCM_ASSIGN_OR_RETURN(Value v, WorkloadRead(item));
-  recorder_->SetInitialValue(item, std::move(v));
+  recorder_.SetInitialValue(item, std::move(v));
   return Status::OK();
 }
 
 Status System::DeclareInitialPrivate(const rule::ItemId& item, Value value) {
   HCM_ASSIGN_OR_RETURN(ItemLocation loc, registry_.Locate(item.base));
   HCM_ASSIGN_OR_RETURN(Shell * shell, ShellAt(loc.site));
-  recorder_->SetInitialValue(item, value);
+  recorder_.SetInitialValue(item, value);
   shell->SeedPrivate(item, std::move(value));
   return Status::OK();
 }
@@ -503,11 +505,7 @@ std::string System::DescribeDispatchStats() const {
 }
 
 std::string System::DescribeExecutorStats() const {
-  auto* parallel = dynamic_cast<sim::ParallelExecutor*>(executor_.get());
-  if (parallel == nullptr) {
-    return "executor: single-queue (num_threads=0)\n";
-  }
-  return parallel->DescribeStats();
+  return executor_.DescribeStats();
 }
 
 std::string System::DescribeStorageStats() const {
@@ -600,20 +598,12 @@ Status System::AttachStreamingChecker(trace::StreamingChecker* checker,
     return Status::InvalidArgument("streaming checker is null");
   }
   streaming_checker_ = checker;
-  if (auto* sharded =
-          dynamic_cast<trace::ShardedTraceRecorder*>(recorder_.get())) {
-    // Trigger remaps must survive at least as long as the checker's own
-    // lookback; pad by one flush stride worth of slack.
-    sharded->SetRemapRetention(checker->retention() + Duration::Seconds(1));
-  }
-  recorder_->AttachSink(checker, drain);
+  // Trigger remaps must survive at least as long as the checker's own
+  // lookback; pad by one flush stride worth of slack.
+  recorder_.SetRemapRetention(checker->retention() + Duration::Seconds(1));
+  recorder_.AttachSink(checker, drain);
   for (const auto& w : failures_.DownWindows()) {
     checker->NoteOutage(trace::SiteOutage{w.site, w.from, w.to});
-  }
-  if (auto* parallel = dynamic_cast<sim::ParallelExecutor*>(executor_.get())) {
-    trace::TraceRecorder* recorder = recorder_.get();
-    parallel->SetBarrierHook(
-        [recorder](TimePoint safe) { recorder->FlushSink(safe); });
   }
   return Status::OK();
 }
@@ -630,9 +620,9 @@ Status System::ScheduleCrash(const std::string& site, TimePoint crash_at,
   HCM_ASSIGN_OR_RETURN(Shell * shell, ShellAt(site));
   failures_.CrashSite(site, crash_at, clean);
   failures_.RestartSite(site, restart_at);
-  executor_->ScheduleAt(site, crash_at,
-                        [shell, clean]() { shell->Crash(clean); });
-  executor_->ScheduleAt(site, restart_at, [shell]() {
+  executor_.ScheduleAt(site, crash_at,
+                       [shell, clean]() { shell->Crash(clean); });
+  executor_.ScheduleAt(site, restart_at, [shell]() {
     auto summary = shell->Recover();
     if (!summary.ok()) {
       HCM_LOG(Error) << "recovery of " << shell->site()

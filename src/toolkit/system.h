@@ -9,9 +9,9 @@
 #include "src/ris/filestore/filestore.h"
 #include "src/ris/relational/database.h"
 #include "src/ris/whois/whois.h"
-#include "src/sim/executor.h"
 #include "src/sim/failure_injector.h"
 #include "src/sim/network.h"
+#include "src/sim/parallel_executor.h"
 #include "src/spec/constraint.h"
 #include "src/spec/strategy_spec.h"
 #include "src/spec/suggester.h"
@@ -30,12 +30,14 @@ namespace hcm::toolkit {
 struct SystemOptions {
   sim::NetworkConfig network;
   uint64_t seed = 42;
-  // 0 = classic single-queue executor (one global event order). >= 1 =
-  // site-sharded ParallelExecutor with this many worker threads (1 runs the
-  // same windowed engine inline — useful as the determinism baseline: a
-  // 1-thread and an N-thread run of the same deployment produce
-  // byte-identical traces and guarantee reports).
-  size_t num_threads = 0;
+  // Worker threads of the site-sharded engine (sim::ParallelExecutor),
+  // counting the driving thread; 0 is read as 1. 1 runs every superstep
+  // inline and is the sequential case: an N-thread run of the same
+  // deployment produces a byte-identical trace and guarantee reports. The
+  // trace's total order is (time, site, per-site record order), so events at
+  // one instant at different sites are ordered by site name, not by when
+  // they were scheduled (see DESIGN.md §4c).
+  size_t num_threads = 1;
   // Upper bound on the parallel engine's adaptive superstep depth: how many
   // lookahead-wide epochs one barrier interval may cover when no clamping
   // is observed. 1 pins the engine to the classic one-window-per-barrier
@@ -81,10 +83,10 @@ class System {
   System& operator=(const System&) = delete;
 
   // --- Substrate access ---
-  sim::Executor& executor() { return *executor_; }
-  sim::Network& network() { return *network_; }
+  sim::ParallelExecutor& executor() { return executor_; }
+  sim::Network& network() { return network_; }
   sim::FailureInjector& failures() { return failures_; }
-  trace::TraceRecorder& recorder() { return *recorder_; }
+  trace::TraceRecorder& recorder() { return recorder_; }
   const ItemRegistry& registry() const { return registry_; }
   GuaranteeStatusRegistry& guarantee_status() { return guarantee_status_; }
 
@@ -156,20 +158,21 @@ class System {
   Result<GuaranteeValidity> GuaranteeStatus(const std::string& key) const;
 
   // --- Execution ---
+  // The recorder's safe prefix is merged (and delivered to an attached
+  // sink) at every superstep barrier, and up to the run boundary here.
   void RunFor(Duration d) {
-    executor_->RunFor(d);
+    executor_.RunFor(d);
     // Push the streamed watermark to the run boundary: everything strictly
     // before `now` is final (future work is scheduled at >= now).
-    recorder_->FlushSink(executor_->now());
+    recorder_.FlushSink(executor_.now());
   }
-  trace::Trace FinishTrace() { return recorder_->Finish(executor_->now()); }
+  trace::Trace FinishTrace() { return recorder_.Finish(executor_.now()); }
 
   // Wires a streaming checker into the run: attaches it as the recorder's
   // sink (drain = true stops accumulating the offline trace, bounding the
-  // recorder's memory too), flushes the safe prefix at every parallel
-  // superstep barrier (the classic recorder streams per Record call), sizes
-  // the sharded recorder's trigger-remap retention, and forwards outages —
-  // both already-scheduled down windows and future ScheduleCrash calls.
+  // recorder's memory too), sizes the recorder's trigger-remap retention,
+  // and forwards outages — both already-scheduled down windows and future
+  // ScheduleCrash calls.
   // Call after installing strategies, before RunFor. The checker must
   // outlive the System's last RunFor/FinishTrace call.
   Status AttachStreamingChecker(trace::StreamingChecker* checker,
@@ -211,9 +214,8 @@ class System {
   // One-line-per-site rendering of the above, for examples and benches.
   std::string DescribeDispatchStats() const;
 
-  // Parallel-engine efficiency block (supersteps, windows, parallelism
-  // metric, clamped/elided cross posts); a one-liner for the single-queue
-  // engine. For examples and benches.
+  // Engine efficiency block (supersteps, windows, parallelism metric,
+  // clamped/elided cross posts). For examples and benches.
   std::string DescribeExecutorStats() const;
 
   // Per-site storage counters (bases, deltas, compactions, files GC'd,
@@ -226,12 +228,10 @@ class System {
                                     bool lenient = false) const;
 
   SystemOptions options_;
-  // Engine selection (by num_threads) happens at construction; everything
-  // downstream talks to the virtual Executor / TraceRecorder interfaces.
-  std::unique_ptr<sim::Executor> executor_;
+  sim::ParallelExecutor executor_;
   sim::FailureInjector failures_;
-  std::unique_ptr<sim::Network> network_;
-  std::unique_ptr<trace::TraceRecorder> recorder_;
+  sim::Network network_;
+  trace::TraceRecorder recorder_;
   ItemRegistry registry_;
   GuaranteeStatusRegistry guarantee_status_;
 

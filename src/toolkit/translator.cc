@@ -5,7 +5,7 @@
 
 namespace hcm::toolkit {
 
-Translator::Translator(RidConfig config, sim::Executor* executor,
+Translator::Translator(RidConfig config, sim::ParallelExecutor* executor,
                        sim::Network* network, trace::TraceRecorder* recorder,
                        const sim::FailureInjector* failures)
     : config_(std::move(config)),
@@ -179,7 +179,7 @@ void Translator::HandleWriteRequest(rule::Event wr_event) {
   auto extra = PreflightOp(&retry_at);
   if (!extra.ok()) {
     if (!crash_is_logical_) {
-      executor_->ScheduleAt(config_.site, retry_at, [this, wr_event]() {
+      executor_->ScheduleAt(site_sym_, retry_at, [this, wr_event]() {
         HandleWriteRequest(wr_event);
       });
     }
@@ -192,7 +192,7 @@ void Translator::HandleWriteRequest(rule::Event wr_event) {
   TimePoint at = executor_->now() + write_delay_ + *extra;
   if (at <= last_write_at_) at = last_write_at_ + Duration::Millis(1);
   last_write_at_ = at;
-  executor_->ScheduleAt(config_.site, at, [this, wr_event]() {
+  executor_->ScheduleAt(site_sym_, at, [this, wr_event]() {
     const RidItemMapping* mapping = MappingOrNull(wr_event.item.base);
     if (mapping == nullptr || mapping->write_command.empty()) {
       SendFailure(FailureClass::kLogical,
@@ -223,7 +223,7 @@ void Translator::HandleReadRequest(rule::Event rr_event, bool whole_base) {
   auto extra = PreflightOp(&retry_at);
   if (!extra.ok()) {
     if (!crash_is_logical_) {
-      executor_->ScheduleAt(config_.site, retry_at,
+      executor_->ScheduleAt(site_sym_, retry_at,
                             [this, rr_event, whole_base]() {
                               HandleReadRequest(rr_event, whole_base);
                             });
@@ -231,7 +231,7 @@ void Translator::HandleReadRequest(rule::Event rr_event, bool whole_base) {
     return;
   }
   Duration delay = read_delay_ + *extra;
-  executor_->ScheduleAfter(config_.site, delay, [this, rr_event, whole_base]() {
+  executor_->ScheduleAfter(site_sym_, delay, [this, rr_event, whole_base]() {
     const RidItemMapping* mapping = MappingOrNull(rr_event.item.base);
     if (mapping == nullptr || mapping->read_command.empty()) {
       SendFailure(FailureClass::kLogical,
@@ -278,14 +278,14 @@ void Translator::HandleDeleteRequest(rule::Event del_event) {
   auto extra = PreflightOp(&retry_at);
   if (!extra.ok()) {
     if (!crash_is_logical_) {
-      executor_->ScheduleAt(config_.site, retry_at, [this, del_event]() {
+      executor_->ScheduleAt(site_sym_, retry_at, [this, del_event]() {
         HandleDeleteRequest(del_event);
       });
     }
     return;
   }
   Duration delay = write_delay_ + *extra;
-  executor_->ScheduleAfter(config_.site, delay, [this, del_event]() {
+  executor_->ScheduleAfter(site_sym_, delay, [this, del_event]() {
     const RidItemMapping* mapping = MappingOrNull(del_event.item.base);
     if (mapping == nullptr || mapping->delete_command.empty()) {
       SendFailure(FailureClass::kLogical,
@@ -339,8 +339,7 @@ Status Translator::SetupNotifyInterfaces() {
                 if (!pass.ok() || !*pass) return;
               }
               executor_->ScheduleAfter(
-                  config_.site,
-                  delay, [this, base, args, new_value]() {
+                  site_sym_, delay, [this, base, args, new_value]() {
                     rule::Event n;
                     n.kind = rule::EventKind::kNotify;
                     n.item = rule::ItemId{base, args};
@@ -376,7 +375,7 @@ Status Translator::SetupNotifyInterfaces() {
 
 void Translator::SchedulePeriodicReport(const RidItemMapping& mapping,
                                         Duration period) {
-  executor_->ScheduleAfter(config_.site, period, [this, &mapping, period]() {
+  executor_->ScheduleAfter(site_sym_, period, [this, &mapping, period]() {
     auto tuples = NativeList(mapping);
     std::vector<std::vector<Value>> arg_tuples;
     if (tuples.ok()) {

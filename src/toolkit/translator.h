@@ -6,7 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "src/sim/executor.h"
+#include "src/sim/parallel_executor.h"
 #include "src/sim/failure_injector.h"
 #include "src/sim/network.h"
 #include "src/toolkit/messages.h"
@@ -32,8 +32,8 @@ class Translator {
                                         const Value& old_value,
                                         const Value& new_value)>;
 
-  Translator(RidConfig config, sim::Executor* executor, sim::Network* network,
-             trace::TraceRecorder* recorder,
+  Translator(RidConfig config, sim::ParallelExecutor* executor,
+             sim::Network* network, trace::TraceRecorder* recorder,
              const sim::FailureInjector* failures);
   virtual ~Translator() = default;
   Translator(const Translator&) = delete;
@@ -92,7 +92,7 @@ class Translator {
   virtual Status InstallChangeHook(const RidItemMapping& mapping,
                                    ChangeHook hook);
 
-  sim::Executor* executor() { return executor_; }
+  sim::ParallelExecutor* executor() { return executor_; }
 
  private:
   void OnMessage(const sim::Message& message);
@@ -126,7 +126,7 @@ class Translator {
   std::string endpoint_;
   uint32_t endpoint_sym_ = kNoSymbol;
   uint32_t site_sym_ = kNoSymbol;
-  sim::Executor* executor_;
+  sim::ParallelExecutor* executor_;
   sim::Network* network_;
   trace::TraceRecorder* recorder_;
   const sim::FailureInjector* failures_;

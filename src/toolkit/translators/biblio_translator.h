@@ -17,7 +17,7 @@ namespace hcm::toolkit {
 class BiblioTranslator : public Translator {
  public:
   BiblioTranslator(RidConfig config, ris::biblio::BiblioStore* store,
-                   sim::Executor* executor, sim::Network* network,
+                   sim::ParallelExecutor* executor, sim::Network* network,
                    trace::TraceRecorder* recorder,
                    const sim::FailureInjector* failures)
       : Translator(std::move(config), executor, network, recorder, failures),

@@ -18,7 +18,7 @@ namespace hcm::toolkit {
 class FilestoreTranslator : public Translator {
  public:
   FilestoreTranslator(RidConfig config, ris::filestore::FileStore* fs,
-                      sim::Executor* executor, sim::Network* network,
+                      sim::ParallelExecutor* executor, sim::Network* network,
                       trace::TraceRecorder* recorder,
                       const sim::FailureInjector* failures)
       : Translator(std::move(config), executor, network, recorder, failures),

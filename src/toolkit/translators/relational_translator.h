@@ -14,7 +14,7 @@ namespace hcm::toolkit {
 class RelationalTranslator : public Translator {
  public:
   RelationalTranslator(RidConfig config, ris::relational::Database* db,
-                       sim::Executor* executor, sim::Network* network,
+                       sim::ParallelExecutor* executor, sim::Network* network,
                        trace::TraceRecorder* recorder,
                        const sim::FailureInjector* failures)
       : Translator(std::move(config), executor, network, recorder, failures),

@@ -16,7 +16,7 @@ namespace hcm::toolkit {
 class WhoisTranslator : public Translator {
  public:
   WhoisTranslator(RidConfig config, ris::whois::WhoisServer* server,
-                  sim::Executor* executor, sim::Network* network,
+                  sim::ParallelExecutor* executor, sim::Network* network,
                   trace::TraceRecorder* recorder,
                   const sim::FailureInjector* failures)
       : Translator(std::move(config), executor, network, recorder, failures),

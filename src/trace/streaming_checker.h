@@ -6,9 +6,9 @@
 // moment they are decidable, and still produce a final ExecutionReport —
 // and guarantee reports — byte-identical to the offline checkers.
 //
-// The checker is a TraceSink: the recorders feed it events in final merge
-// order with final dense ids (ShardedTraceRecorder renumbers the safe
-// prefix per flush), watermarks tell it which instants are complete, and
+// The checker is a TraceSink: the recorder feeds it events in final merge
+// order with final dense ids (TraceRecorder renumbers the safe prefix per
+// flush), watermarks tell it which instants are complete, and
 // OnFinish triggers the same phase-ordered report assembly the offline
 // checker performs — through the shared bounded-sink/ordered-merge core in
 // check_window.h, so capping semantics agree exactly.
@@ -145,8 +145,8 @@ class StreamingChecker : public TraceSink {
   const StreamingCheckStats& stats() const;
 
   // One maximal rule window + 1ms: how far back from the watermark live
-  // state is kept. The System sizes the sharded recorder's trigger-remap
-  // retention from this when attaching in drain mode.
+  // state is kept. The System sizes the recorder's trigger-remap retention
+  // from this when attaching.
   Duration retention() const;
 
   // Human-readable live/retired-state counters (trace_inspector --follow).

@@ -1,9 +1,7 @@
 #include "src/trace/trace.h"
 
 #include <algorithm>
-#include <cstdlib>
 
-#include "src/common/logging.h"
 #include "src/common/string_util.h"
 
 namespace hcm::trace {
@@ -19,78 +17,6 @@ std::string Trace::ToString(size_t max_events) const {
     }
     out += "  " + e.ToString() + "\n";
   }
-  return out;
-}
-
-void TraceRecorder::SetInitialValue(const rule::ItemId& item, Value value) {
-  if (sink_ != nullptr) sink_->OnInitialValue(item, value);
-  trace_.initial_values[item] = std::move(value);
-}
-
-int64_t TraceRecorder::Record(rule::Event event) {
-  event.id = next_id_++;
-  int64_t id = event.id;
-  ++num_recorded_;
-  if (sink_ != nullptr) {
-    // Single-threaded recording is already in canonical (time, id) order
-    // with final ids, so the sink sees each event the moment it happens.
-    // Everything strictly before this event's time is final: advance the
-    // watermark first so the sink can retire state before absorbing the
-    // event.
-    if (last_watermark_ < event.time) {
-      last_watermark_ = event.time;
-      sink_->OnWatermark(last_watermark_);
-    }
-    sink_->OnEvent(event);
-    if (drain_) return id;  // sink consumed it; keep no copy
-  }
-  // Every event of a run funnels through here; pre-size the log so early
-  // growth doesn't repeatedly move the (string-heavy) recorded events.
-  if (trace_.events.capacity() == trace_.events.size()) {
-    trace_.events.reserve(
-        std::max<size_t>(1024, trace_.events.capacity() * 2));
-  }
-  trace_.events.push_back(std::move(event));
-  return id;
-}
-
-void TraceRecorder::AttachSink(TraceSink* sink, bool drain) {
-  sink_ = sink;
-  drain_ = drain;
-  // Initial values declared before the attach still reach the sink.
-  if (sink_ != nullptr) {
-    for (const auto& [item, value] : trace_.initial_values) {
-      sink_->OnInitialValue(item, value);
-    }
-  }
-}
-
-void TraceRecorder::FlushSink(TimePoint watermark) {
-  if (sink_ == nullptr || watermark <= last_watermark_) return;
-  last_watermark_ = watermark;
-  sink_->OnWatermark(watermark);
-}
-
-void TraceRecorder::GuardFinish(const char* recorder_name) {
-  if (finished_) {
-    // A second Finish could only return a moved-from (empty) trace, and an
-    // empty trace sails through every downstream check. Fail loudly.
-    HCM_LOG(Error) << recorder_name
-                   << "::Finish called twice; the trace was already moved "
-                      "out by the first call";
-    std::abort();
-  }
-  finished_ = true;
-}
-
-Trace TraceRecorder::Finish(TimePoint horizon) {
-  GuardFinish("TraceRecorder");
-  if (sink_ != nullptr) sink_->OnFinish(horizon);
-  trace_.horizon = horizon;
-  Trace out = std::move(trace_);
-  trace_ = Trace{};
-  num_recorded_ = 0;  // spent: a drained total must be read before Finish
-  InternTraceItems(&out);
   return out;
 }
 

@@ -2,9 +2,13 @@
 #define HCM_TRACE_TRACE_H_
 
 #include <cstdint>
+#include <deque>
 #include <map>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/sim_time.h"
@@ -25,7 +29,7 @@ struct Trace {
   // End of observation; predicates are evaluated over [0, horizon].
   TimePoint horizon;
 
-  // Dense per-trace item ids, stamped by the recorders at Finish (see
+  // Dense per-trace item ids, stamped by the recorder at Finish (see
   // InternTraceItems): `interner` replicates exactly the intern order
   // StateTimeline::Build performs — initial values in map order, then
   // state-changing events in trace order — and each state-changing event
@@ -39,16 +43,16 @@ struct Trace {
 };
 
 // Stamps `interner`/item_iid/items_interned on a finalized trace. The id
-// assignment is the recorders' id-stability contract: it depends only on
+// assignment is the recorder's id-stability contract: it depends only on
 // the final (merged, time-ordered) event sequence and the initial-value
-// map, never on how recording was sharded, so single-threaded and sharded
-// runs that produce identical event logs produce identical ids.
+// map, never on how recording was sharded, so runs that produce identical
+// event logs produce identical ids at any thread count.
 void InternTraceItems(Trace* trace);
 
 // Receives the canonical trace incrementally, while the run executes.
 // Events arrive in exactly the order (and with exactly the ids) the
-// recorder's Finish would produce — the sharded recorder merges and
-// renumbers its shards' safe prefix before delivery — so a sink observing
+// recorder's Finish would produce — the recorder merges and renumbers its
+// shards' safe prefix before delivery — so a sink observing
 // the whole feed sees the final trace, event for event. All callbacks run
 // on the thread driving the recorder (the simulation driver); sinks need
 // no internal locking.
@@ -78,73 +82,135 @@ class TraceSink {
   virtual void OnFinish(TimePoint horizon) { (void)horizon; }
 };
 
-// Assigns event ids and accumulates the trace. The CM-Shells and workload
-// generators all record through one recorder so ids are globally unique and
-// the order is the executor's total order.
+// Assigns event ids and accumulates the trace. The CM-Shells, translators
+// and workload generators all record through one recorder, with one event
+// shard per base site, so each of sim::ParallelExecutor's lanes appends to
+// its own shard without synchronization (single writer per shard — only the
+// site's lane, or the main thread between runs, records events stamped
+// with that site).
 //
-// This base implementation is the single-threaded path: one event log in
-// record order. ShardedTraceRecorder (sharded_recorder.h) overrides the
-// virtual surface with per-site shards for parallel runs.
+// Record() assigns *provisional* ids — (shard index + 1, local index)
+// packed into an int64 — unique across the run so rule firing can thread
+// trigger provenance through messages. The shards are merged into one
+// canonical log ordered by (time, site, shard append order); dense final
+// ids are assigned in that order, and both `id` and `trigger_event_id` are
+// rewritten from provisional to final. Because per-shard append order and
+// the merge key are functions of the simulation (not of worker
+// interleaving), the log is byte-identical at any thread count.
+//
+// The merge runs incrementally over the *safe prefix* (FlushSink(W)):
+// every pending event with time < W. Shard append order is not
+// time-monotone (elided cross-lane posts step a lane's clock backwards), so
+// the ready set is a stable partition of each shard, not a prefix. The
+// watermark is strict, so an equal-time group is never split across flushes
+// and per-flush stable sorts concatenate to the one global sort; a sink
+// therefore receives literally the Finish log, delivered early.
 class TraceRecorder {
  public:
-  TraceRecorder() = default;
-  virtual ~TraceRecorder() = default;
+  TraceRecorder();
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
 
-  // Declares an item's value at time 0. Call before the run starts.
-  virtual void SetInitialValue(const rule::ItemId& item, Value value);
+  // Declares an item's value at time 0. Main thread, before the run.
+  void SetInitialValue(const rule::ItemId& item, Value value);
 
-  // Declares a recording site up front (optional hint; lets sharded
-  // recorders build their shards before concurrent recording begins). The
-  // single-threaded recorder ignores it.
-  virtual void DeclareSite(const std::string& site) { (void)site; }
+  // Pre-creates the shard for `site`'s base site. Main thread only; called
+  // during deployment wiring so concurrent Record() rarely has to create a
+  // shard.
+  void DeclareSite(const std::string& site);
 
-  // Records the event, assigning its id. Returns the assigned id. Sharded
-  // recorders return a *provisional* id, only unique within the run and
-  // replaced by the final dense id at Finish; treat it as opaque.
-  virtual int64_t Record(rule::Event event);
+  // Records the event and returns its provisional id (opaque; replaced by
+  // the final dense id when the event is merged). Safe to call from any
+  // execution lane for events stamped with a site on that lane.
+  int64_t Record(rule::Event event);
 
-  // Finalizes and returns the trace, *moving* the accumulated event log out
-  // (large traces must not be duplicated here). The recorder is spent
-  // afterwards: a second Finish aborts the process — it could only hand
-  // back a silently empty trace, which downstream checkers would happily
-  // declare valid.
-  virtual Trace Finish(TimePoint horizon);
+  // Merges what is still pending and returns the trace, *moving* the
+  // accumulated event log out (large traces must not be duplicated here).
+  // The recorder is spent afterwards: a second Finish aborts the process —
+  // it could only hand back a silently empty trace, which downstream
+  // checkers would happily declare valid. Main thread, after the run.
+  Trace Finish(TimePoint horizon);
+
+  // The trace so far, without spending the recorder: the merged log with
+  // the ids Finish would assign if the run ended now (ids of events at the
+  // latest instant may still shift if more same-instant events follow).
+  // The horizon is left at its default; callers set it. In drain mode only
+  // the undelivered events are left to show. Main thread, between runs.
+  Trace trace() const;
 
   // Attaches a streaming sink (at most one; call before recording starts).
   // In drain mode the recorder sheds events once delivered — memory stays
   // bounded by the undelivered window, but Finish then returns a trace
   // without events (initial values + horizon only). Without drain (tee
   // mode) Finish still returns the full canonical trace.
-  virtual void AttachSink(TraceSink* sink, bool drain);
+  void AttachSink(TraceSink* sink, bool drain);
 
-  // Delivers every event known to precede `watermark` to the sink, then
-  // forwards the watermark. The single-threaded recorder records in final
-  // order and feeds the sink inside Record already, so this only forwards
-  // the watermark; the sharded recorder merges + renumbers the safe prefix
-  // here. Callers (System / ParallelExecutor barriers) must pass
-  // nondecreasing watermarks ≤ the earliest still-unrecorded instant.
-  virtual void FlushSink(TimePoint watermark);
+  // Merges, renumbers and delivers every pending event before `watermark`
+  // to the sink (if any), then forwards the watermark. Main thread only,
+  // and only while lanes are quiescent (the executor's superstep barrier /
+  // end of RunFor). Callers must pass watermarks ≤ the earliest
+  // still-unrecorded instant; stale (non-increasing) ones are ignored.
+  void FlushSink(TimePoint watermark);
 
-  // Count of events recorded (not reduced by drain-mode shedding).
-  virtual size_t num_events() const { return num_recorded_; }
+  // Drain mode forgets provisional→final id mappings once they fall
+  // `retention` behind the watermark (a generated event references a
+  // trigger at most one rule window back, so the System sizes this from
+  // the streaming checker's lookback). Tee mode never forgets.
+  void SetRemapRetention(Duration retention) { remap_retention_ = retention; }
 
-  // Single-threaded recorder only: the accumulated trace so far.
-  const Trace& trace() const { return trace_; }
+  // Count of events recorded (not reduced by drain-mode shedding; 0 once
+  // the recorder is spent). Main thread, between runs.
+  size_t num_events() const;
 
- protected:
-  // Aborts on a repeated Finish (shared by the sharded recorder).
-  void GuardFinish(const char* recorder_name);
+ private:
+  struct Shard {
+    std::string site;  // base site
+    uint32_t index = 0;  // fixed at creation; part of provisional ids
+    std::vector<rule::Event> events;  // pending (not yet merged)
+    size_t ready = 0;  // EmitReady: the prefix of `events` being merged
+    size_t recorded = 0;              // lifetime count, single-writer
+    // final_ids[i - final_base] is the final id of local index i (-1 until
+    // merged); the prefix below final_base was pruned (drain mode).
+    std::vector<int64_t> final_ids;
+    size_t final_base = 0;
+  };
+
+  Shard* ShardFor(std::string_view base_site);
+  // The final id behind a provisional one; -1 when it is not a provisional
+  // id of this recorder, not merged yet, or pruned.
+  int64_t Lookup(int64_t provisional) const;
+  // Merges the pending events before `watermark`: assigns final ids,
+  // remaps triggers, delivers to the sink (if any) and archives into
+  // emitted_ (unless draining).
+  void EmitReady(TimePoint watermark);
+  void PruneFinalIds(TimePoint watermark);
+
+  const uint64_t instance_;  // process-unique; keys the Record() shard cache
+  // Guards the shard map structure (shards_, by_index_); shard contents
+  // are single-writer, and the merge reads the structure only while the
+  // lanes are quiescent.
+  mutable std::mutex mu_;
+  // By base site; std::less<> lets lookups take a string_view.
+  std::map<std::string, std::unique_ptr<Shard>, std::less<>> shards_;
+  std::vector<Shard*> by_index_;
+  std::map<rule::ItemId, Value> initial_values_;
+
+  // Canonical emitted prefix (final ids, merge order). Drained instead when
+  // drain mode is on; Finish then returns no events.
+  std::vector<rule::Event> emitted_;
+  std::vector<rule::Event*> ready_;  // EmitReady scratch, merge order
+  int64_t next_final_id_ = 0;
+  size_t prune_at_ = 1024;  // merged events between drain-mode prunes
+  size_t merged_since_prune_ = 0;
+  // (watermark, next final id) at past drain-mode prunes: every event
+  // merged before such a mark lies strictly before its watermark.
+  std::deque<std::pair<TimePoint, int64_t>> prune_marks_;
+  Duration remap_retention_ = Duration::Seconds(600);
 
   TraceSink* sink_ = nullptr;
   bool drain_ = false;
   TimePoint last_watermark_;  // nondecreasing guard for FlushSink
-
- private:
-  Trace trace_;
-  int64_t next_id_ = 0;
-  size_t num_recorded_ = 0;
+  size_t spent_events_ = 0;   // num_events() baseline after Finish
   bool finished_ = false;
 };
 

@@ -1,15 +1,15 @@
-#include "src/sim/executor.h"
-
 #include <gtest/gtest.h>
 
-#include <chrono>
+#include <functional>
 #include <vector>
+
+#include "src/sim/parallel_executor.h"
 
 namespace hcm::sim {
 namespace {
 
 TEST(ExecutorTest, RunsCallbacksInTimeOrder) {
-  Executor ex;
+  ParallelExecutor ex;
   std::vector<int> order;
   ex.ScheduleAt(TimePoint::FromMillis(30), [&] { order.push_back(3); });
   ex.ScheduleAt(TimePoint::FromMillis(10), [&] { order.push_back(1); });
@@ -20,7 +20,7 @@ TEST(ExecutorTest, RunsCallbacksInTimeOrder) {
 }
 
 TEST(ExecutorTest, TiesBreakInScheduleOrder) {
-  Executor ex;
+  ParallelExecutor ex;
   std::vector<int> order;
   for (int i = 0; i < 5; ++i) {
     ex.ScheduleAt(TimePoint::FromMillis(10), [&order, i] { order.push_back(i); });
@@ -30,7 +30,7 @@ TEST(ExecutorTest, TiesBreakInScheduleOrder) {
 }
 
 TEST(ExecutorTest, ScheduleAfterUsesCurrentTime) {
-  Executor ex;
+  ParallelExecutor ex;
   TimePoint fired;
   ex.ScheduleAt(TimePoint::FromMillis(100), [&] {
     ex.ScheduleAfter(Duration::Millis(50), [&] { fired = ex.now(); });
@@ -40,7 +40,7 @@ TEST(ExecutorTest, ScheduleAfterUsesCurrentTime) {
 }
 
 TEST(ExecutorTest, PastSchedulingClampsToNow) {
-  Executor ex;
+  ParallelExecutor ex;
   ex.ScheduleAt(TimePoint::FromMillis(100), [] {});
   ex.RunUntilIdle();
   bool ran = false;
@@ -53,7 +53,7 @@ TEST(ExecutorTest, PastSchedulingClampsToNow) {
 }
 
 TEST(ExecutorTest, CancelledTimerDoesNotRun) {
-  Executor ex;
+  ParallelExecutor ex;
   bool ran = false;
   Timer t = ex.ScheduleAfter(Duration::Millis(5), [&] { ran = true; });
   t.Cancel();
@@ -63,7 +63,7 @@ TEST(ExecutorTest, CancelledTimerDoesNotRun) {
 }
 
 TEST(ExecutorTest, PostedCallbacksInterleaveWithScheduledOnes) {
-  Executor ex;
+  ParallelExecutor ex;
   std::vector<int> order;
   ex.ScheduleAt(TimePoint::FromMillis(20), [&] { order.push_back(2); });
   ex.PostAt(TimePoint::FromMillis(10), [&] { order.push_back(1); });
@@ -73,7 +73,7 @@ TEST(ExecutorTest, PostedCallbacksInterleaveWithScheduledOnes) {
 }
 
 TEST(ExecutorTest, CancelledEntriesAreSweptByRunUntil) {
-  Executor ex;
+  ParallelExecutor ex;
   bool ran = false;
   Timer t = ex.ScheduleAt(TimePoint::FromMillis(5), [&] { ran = true; });
   ex.ScheduleAt(TimePoint::FromMillis(50), [] {});
@@ -86,7 +86,7 @@ TEST(ExecutorTest, CancelledEntriesAreSweptByRunUntil) {
 }
 
 TEST(ExecutorTest, RunUntilStopsAtDeadlineAndAdvancesClock) {
-  Executor ex;
+  ParallelExecutor ex;
   int count = 0;
   // Self-rescheduling periodic task, every 10ms.
   std::function<void()> tick = [&] {
@@ -101,19 +101,18 @@ TEST(ExecutorTest, RunUntilStopsAtDeadlineAndAdvancesClock) {
 }
 
 TEST(ExecutorTest, RunUntilIdleRespectsMaxSteps) {
-  Executor ex;
+  ParallelExecutor ex;
   std::function<void()> loop = [&] { ex.ScheduleAfter(Duration::Millis(1), loop); };
   ex.ScheduleAfter(Duration::Millis(1), loop);
-  EXPECT_EQ(ex.RunUntilIdle(25), 25u);
-}
-
-TEST(ExecutorTest, StepReturnsFalseWhenEmpty) {
-  Executor ex;
-  EXPECT_FALSE(ex.Step());
+  // The bound is checked between supersteps, so the run stops at the first
+  // barrier past 25 steps: 20 ticks in the first superstep (one 20 ms
+  // epoch), 40 in the second (the depth doubles to two epochs).
+  EXPECT_EQ(ex.RunUntilIdle(25), 60u);
+  EXPECT_GT(ex.pending_count(), 0u);  // the loop is still queued
 }
 
 TEST(ExecutorTest, NestedSchedulingDuringRunUntil) {
-  Executor ex;
+  ParallelExecutor ex;
   std::vector<int> order;
   ex.ScheduleAt(TimePoint::FromMillis(10), [&] {
     order.push_back(1);
@@ -122,28 +121,6 @@ TEST(ExecutorTest, NestedSchedulingDuringRunUntil) {
   });
   ex.RunUntil(TimePoint::FromMillis(20));
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
-}
-
-TEST(ExecutorTest, RunRealtimePacesAgainstWallClock) {
-  Executor ex;
-  std::vector<TimePoint> fired;
-  for (int i = 1; i <= 3; ++i) {
-    ex.ScheduleAt(TimePoint::FromMillis(i * 1000), [&ex, &fired] {
-      fired.push_back(ex.now());
-    });
-  }
-  auto wall_start = std::chrono::steady_clock::now();
-  // 3s of virtual time at 100x => ~30ms wall.
-  size_t steps = ex.RunRealtimeFor(Duration::Seconds(3), 100.0);
-  auto wall_ms = std::chrono::duration<double, std::milli>(
-                     std::chrono::steady_clock::now() - wall_start)
-                     .count();
-  EXPECT_EQ(steps, 3u);
-  ASSERT_EQ(fired.size(), 3u);
-  EXPECT_EQ(fired[2], TimePoint::FromMillis(3000));
-  EXPECT_GE(wall_ms, 25.0);   // actually paced
-  EXPECT_LT(wall_ms, 2000.0);  // but scaled, not real-real-time
-  EXPECT_EQ(ex.now(), TimePoint::FromMillis(3000));
 }
 
 TEST(DurationTest, ArithmeticAndFormatting) {

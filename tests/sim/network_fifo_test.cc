@@ -63,7 +63,7 @@ class NetworkFifoTest : public ::testing::Test {
     EXPECT_EQ(next, expected_count) << "channel " << src;
   }
 
-  Executor ex_;
+  ParallelExecutor ex_;
   FailureInjector injector_;
   std::unique_ptr<Network> net_;
   std::map<std::string, std::vector<Delivery>> deliveries_;

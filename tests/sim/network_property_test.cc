@@ -15,7 +15,7 @@ namespace {
 class NetworkFifoSweep : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(NetworkFifoSweep, PerChannelOrderUnderJitter) {
-  Executor ex;
+  ParallelExecutor ex;
   NetworkConfig cfg;
   cfg.base_latency = Duration::Millis(10);
   cfg.jitter = Duration::Millis(40);  // jitter far above base: reorder bait

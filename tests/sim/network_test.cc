@@ -35,7 +35,7 @@ class NetworkTest : public ::testing::Test {
     return c;
   }
 
-  Executor ex_;
+  ParallelExecutor ex_;
   Network net_;
   std::vector<Delivery> at_a_;
   std::vector<Delivery> at_b_;
@@ -120,7 +120,7 @@ TEST_F(NetworkTest, SlowdownAddsDelay) {
 }
 
 TEST(NetworkDropTest, DropWhenDownLosesMessage) {
-  Executor ex;
+  ParallelExecutor ex;
   NetworkConfig cfg;
   cfg.drop_when_down = true;
   Network net(&ex, cfg);

@@ -4,8 +4,7 @@
 // its non-metric guarantee reports must come out byte-identical to the
 // uncrashed run's, and the metric guarantees must be void exactly across
 // the outage window — no longer, no shorter. Exercised over the E1 payroll
-// deployment (single-queue and ParallelExecutor) and the E9 Stanford
-// deployment.
+// deployment (at 1 and 4 worker threads) and the E9 Stanford deployment.
 
 #include <filesystem>
 #include <string>

@@ -1,7 +1,8 @@
-// The acid test for sim::ParallelExecutor (ISSUE 3, rebuilt in ISSUE 6): a
-// deployment run with SystemOptions::num_threads = 1 and with N > 1 worker
-// threads must produce byte-identical traces and byte-identical guarantee
-// reports. Exercised over the E1 payroll deployment (two relational
+// The acid test for sim::ParallelExecutor: a deployment run with default
+// SystemOptions and with 0, 1, 2, 4 and 8 worker threads must produce
+// byte-identical traces and byte-identical guarantee reports — so the
+// default is the 1-thread lane run, and thread count never changes a
+// result. Exercised over the E1 payroll deployment (two relational
 // sites), the E9 Stanford deployment (whois + filestore + relational), and
 // a 105-lane Zipf-skewed department topology that stresses the
 // epoch-synchronized engine (hot lanes deep in supersteps while cold ones
@@ -9,6 +10,7 @@
 // schedule with monotone-rule fires delivered clamp-free is byte-identical
 // to the fully clamped one-epoch-per-superstep schedule.
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -22,6 +24,19 @@
 
 namespace hcm {
 namespace {
+
+// Thread count of a run; nullopt keeps SystemOptions' default, the
+// baseline every explicit thread count is compared against (0 is read as
+// 1).
+using Threads = std::optional<size_t>;
+constexpr Threads kDefaultOptions = std::nullopt;
+constexpr size_t kThreadCounts[] = {0, 1, 2, 4, 8};
+
+toolkit::SystemOptions OptionsFor(Threads threads) {
+  toolkit::SystemOptions opts;
+  if (threads) opts.num_threads = *threads;
+  return opts;
+}
 
 // Everything two runs must agree on, rendered to bytes.
 struct RunReport {
@@ -54,10 +69,10 @@ void ExpectIdentical(const RunReport& reference, const RunReport& run,
 
 // --- E1: payroll copy constraint across two relational sites ---
 
-RunReport RunPayroll(size_t threads, uint64_t seed) {
+RunReport RunPayroll(Threads threads, uint64_t seed) {
   auto d = bench::PayrollDeployment::Create(
       "interface notify salary1(n) 1s\n", /*num_employees=*/6,
-      sim::NetworkConfig{}, threads);
+      OptionsFor(threads));
   auto& system = *d.system;
   auto suggestions = *system.Suggest(d.constraint);
   EXPECT_EQ(system.InstallStrategy("payroll", d.constraint,
@@ -93,9 +108,9 @@ RunReport RunPayroll(size_t threads, uint64_t seed) {
 
 TEST(ParallelEquivalence, PayrollTraceAndGuaranteesMatchAnyThreadCount) {
   for (uint64_t seed : {7u, 21u}) {
-    RunReport reference = RunPayroll(1, seed);
+    RunReport reference = RunPayroll(kDefaultOptions, seed);
     EXPECT_GT(reference.trace_bytes.size(), 0u);
-    for (size_t threads : {2u, 4u, 8u}) {
+    for (size_t threads : kThreadCounts) {
       RunReport run = RunPayroll(threads, seed);
       ExpectIdentical(reference, run, threads, seed);
     }
@@ -136,11 +151,9 @@ item GroupPhone
 interface write GroupPhone(n) 2s
 )";
 
-RunReport RunStanford(size_t threads, uint64_t seed) {
+RunReport RunStanford(Threads threads, uint64_t seed) {
   constexpr int kStaff = 8;
-  toolkit::SystemOptions opts;
-  opts.num_threads = threads;
-  toolkit::System system(opts);
+  toolkit::System system(OptionsFor(threads));
   auto* whois = *system.AddWhoisSite("WHOIS");
   auto* lookup = *system.AddFileSite("LOOKUP");
   auto* group = *system.AddRelationalSite("GROUP");
@@ -201,9 +214,9 @@ RunReport RunStanford(size_t threads, uint64_t seed) {
 
 TEST(ParallelEquivalence, StanfordTraceAndGuaranteesMatchAnyThreadCount) {
   for (uint64_t seed : {5u, 99u}) {
-    RunReport reference = RunStanford(1, seed);
+    RunReport reference = RunStanford(kDefaultOptions, seed);
     EXPECT_GT(reference.trace_bytes.size(), 0u);
-    for (size_t threads : {2u, 4u, 8u}) {
+    for (size_t threads : kThreadCounts) {
       RunReport run = RunStanford(threads, seed);
       ExpectIdentical(reference, run, threads, seed);
     }
@@ -300,10 +313,9 @@ struct ZipfEngineOptions {
   size_t max_epochs = 16;   // SystemOptions::max_epochs_per_superstep
 };
 
-RunReport RunZipf(size_t threads, uint64_t seed,
+RunReport RunZipf(Threads threads, uint64_t seed,
                   ZipfEngineOptions engine = {}) {
-  toolkit::SystemOptions opts;
-  opts.num_threads = threads;
+  toolkit::SystemOptions opts = OptionsFor(threads);
   opts.elide_monotone_rules = engine.elide;
   opts.max_epochs_per_superstep = engine.max_epochs;
   toolkit::System system(opts);
@@ -365,10 +377,10 @@ RunReport RunZipf(size_t threads, uint64_t seed,
 
   RunReport report;
   report.messages = system.network().total_messages_sent();
-  auto* pex = dynamic_cast<sim::ParallelExecutor*>(&system.executor());
-  report.clamped = pex->clamped_cross_posts();
-  report.elided = pex->elided_cross_posts();
-  EXPECT_GE(pex->num_lanes(), 105u);
+  const sim::ParallelExecutor& ex = system.executor();
+  report.clamped = ex.clamped_cross_posts();
+  report.elided = ex.elided_cross_posts();
+  EXPECT_GE(ex.num_lanes(), 105u);
   trace::Trace t = system.FinishTrace();
   report.trace_bytes = trace::SerializeTrace(t);
   trace::GuaranteeCheckOptions check;
@@ -388,12 +400,12 @@ RunReport RunZipf(size_t threads, uint64_t seed,
 }
 
 TEST(ParallelEquivalence, ZipfWideTopologyMatchesAnyThreadCount) {
-  RunReport reference = RunZipf(1, 11u);
+  RunReport reference = RunZipf(kDefaultOptions, 11u);
   EXPECT_GT(reference.trace_bytes.size(), 0u);
   // The monotone relays must actually exercise the elided path, and the
   // skewed stream must exercise the clamp accounting.
   EXPECT_GT(reference.elided, 0u);
-  for (size_t threads : {2u, 4u, 8u}) {
+  for (size_t threads : kThreadCounts) {
     RunReport run = RunZipf(threads, 11u);
     ExpectIdentical(reference, run, threads, 11u);
   }

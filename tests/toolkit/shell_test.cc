@@ -42,7 +42,7 @@ class ShellTest : public ::testing::Test {
     return *r;
   }
 
-  sim::Executor executor_;
+  sim::ParallelExecutor executor_;
   sim::Network network_;
   trace::TraceRecorder recorder_;
   ItemRegistry registry_;
@@ -61,7 +61,8 @@ TEST_F(ShellTest, WritePrivateRecordsEvent) {
   shell_.WritePrivate(rule::ItemId{"Cache", {}}, Value::Int(5), 7, 3, 0);
   EXPECT_EQ(shell_.ReadPrivate(rule::ItemId{"Cache", {}}), Value::Int(5));
   ASSERT_EQ(recorder_.num_events(), 1u);
-  const auto& e = recorder_.trace().events[0];
+  trace::Trace t = recorder_.trace();
+  const auto& e = t.events[0];
   EXPECT_EQ(e.kind, rule::EventKind::kWrite);
   EXPECT_EQ(e.rule_id, 7);
   EXPECT_EQ(e.trigger_event_id, 3);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/trace/guarantee_checker.h"
 #include "src/trace/valid_execution.h"
 
@@ -306,6 +308,60 @@ TEST_F(PayrollFixture, LogicalFailureInvalidatesEverythingUntilReset) {
   system_.guarantee_status().ResetSite("B", system_.executor().now());
   EXPECT_EQ(*system_.GuaranteeStatus("payroll/y-follows-x"),
             GuaranteeValidity::kValid);
+}
+
+// Counts what a sink attached straight to the recorder receives, and at
+// each watermark how many recorded events are still waiting to be merged.
+class CountingSink : public trace::TraceSink {
+ public:
+  explicit CountingSink(const trace::TraceRecorder* recorder)
+      : recorder_(recorder) {}
+  void OnEvent(const rule::Event&) override { ++delivered; }
+  void OnWatermark(TimePoint) override {
+    ++watermarks;
+    max_pending = std::max(max_pending, recorder_->num_events() - delivered);
+  }
+
+  const trace::TraceRecorder* recorder_;
+  size_t delivered = 0;
+  size_t watermarks = 0;
+  size_t max_pending = 0;
+};
+
+TEST_F(PayrollFixture, DrainSinkReceivesEventsDuringTheRun) {
+  Deploy(kRidSiteA);
+  auto suggestions = system_.Suggest(constraint_);
+  ASSERT_TRUE(suggestions.ok());
+  ASSERT_TRUE(system_
+                  .InstallStrategy("payroll", constraint_,
+                                   (*suggestions)[0].strategy)
+                  .ok());
+  CountingSink sink(&system_.recorder());
+  system_.recorder().AttachSink(&sink, /*drain=*/true);
+  // 200 raises 3 s apart, all inside one RunFor: only the superstep
+  // barriers can feed the sink before the run returns.
+  constexpr int kRaises = 200;
+  for (int i = 0; i < kRaises; ++i) {
+    system_.executor().PostAt(
+        "A", TimePoint::FromMillis(1000 + 3000 * i), [this, i] {
+          EXPECT_TRUE(system_
+                          .WorkloadWrite(
+                              ItemId{"salary1", {Value::Int(1 + i % 2)}},
+                              Value::Int(70000 + i))
+                          .ok());
+        });
+  }
+  system_.RunFor(Duration::Seconds(3 * kRaises + 30));
+  size_t recorded = system_.recorder().num_events();
+  EXPECT_GE(recorded, 4u * kRaises);  // Ws, N, WR, W per raise
+  EXPECT_EQ(sink.delivered, recorded);
+  EXPECT_GT(sink.watermarks, static_cast<size_t>(kRaises));
+  // Merged at every barrier: a handful of events pending at most, never
+  // the run's backlog.
+  EXPECT_LT(sink.max_pending, 16u);
+  trace::Trace t = system_.FinishTrace();
+  EXPECT_TRUE(t.events.empty());  // drained
+  EXPECT_EQ(sink.delivered, recorded);
 }
 
 TEST_F(PayrollFixture, InterfaceChangeScenario) {

@@ -303,6 +303,9 @@ std::vector<rule::Rule> GeneratorRules() {
   return rules;
 }
 
+// Events are generated in time order, so everything before an event's time
+// is final: each Record is preceded by the flush a run's barrier would do,
+// which streams the safe prefix to an attached sink.
 Trace GenerateInto(TraceRecorder& rec, uint64_t seed) {
   for (size_t p = 0; p < kPairs; ++p) {
     rec.SetInitialValue(Item("src" + std::to_string(p)), Value::Int(0));
@@ -329,6 +332,7 @@ Trace GenerateInto(TraceRecorder& rec, uint64_t seed) {
     e.kind = EventKind::kNotify;
     e.item = Item("src" + std::to_string(p));
     e.values = {Value::Int(v)};
+    rec.FlushSink(e.time);
     return rec.Record(e);
   };
   auto write_spont = [&rec](const ItemId& item, int64_t ms, Value old_v,
@@ -339,6 +343,7 @@ Trace GenerateInto(TraceRecorder& rec, uint64_t seed) {
     e.kind = EventKind::kWriteSpont;
     e.item = item;
     e.values = {std::move(old_v), Value::Int(v)};
+    rec.FlushSink(e.time);
     rec.Record(e);
   };
   auto flush_pending = [&](int64_t up_to_ms) {
@@ -354,6 +359,7 @@ Trace GenerateInto(TraceRecorder& rec, uint64_t seed) {
       e.rule_id = static_cast<int64_t>(f.pair);
       e.trigger_event_id = f.trigger_id;
       e.rhs_step = 0;
+      rec.FlushSink(e.time);
       rec.Record(e);
     }
   };
@@ -493,6 +499,7 @@ TEST(StreamingCheckTest, WindowedGuaranteeRegionsMatchOffline) {
   rec.AttachSink(&streaming, /*drain=*/false);
   rec.SetInitialValue(Item("GX"), Value::Int(0));
   rec.SetInitialValue(Item("GY"), Value::Int(0));
+  // Time-ordered writes: flush before each, as a run's barriers would.
   auto write = [&rec](const char* base, int64_t ms, int64_t old_v,
                       int64_t v) {
     Event e;
@@ -501,6 +508,7 @@ TEST(StreamingCheckTest, WindowedGuaranteeRegionsMatchOffline) {
     e.kind = EventKind::kWriteSpont;
     e.item = Item(base);
     e.values = {Value::Int(old_v), Value::Int(v)};
+    rec.FlushSink(e.time);
     rec.Record(e);
   };
 

@@ -70,7 +70,9 @@ TEST(StreamingSoakTest, LiveFootprintStaysFlatOverLongDrainedRun) {
   cp = &streaming;
 
   // Drain mode: the recorder forwards each event and keeps no copy — the
-  // run's only retained state is the checker's live horizon.
+  // run's only retained state is the checker's live horizon. Events are
+  // generated in time order, so each Record is preceded by the flush a
+  // run's barrier would do.
   TraceRecorder rec;
   rec.AttachSink(&streaming, /*drain=*/true);
   for (size_t p = 0; p < kSoakPairs; ++p) {
@@ -108,6 +110,7 @@ TEST(StreamingSoakTest, LiveFootprintStaysFlatOverLongDrainedRun) {
       e.rule_id = static_cast<int64_t>(f.pair);
       e.trigger_event_id = f.trigger_id;
       e.rhs_step = 0;
+      rec.FlushSink(e.time);
       rec.Record(e);
     }
   };
@@ -119,6 +122,7 @@ TEST(StreamingSoakTest, LiveFootprintStaysFlatOverLongDrainedRun) {
     e.kind = EventKind::kWriteSpont;
     e.item = item;
     e.values = {std::move(old_v), Value::Int(v)};
+    rec.FlushSink(e.time);
     rec.Record(e);
   };
 
@@ -150,6 +154,7 @@ TEST(StreamingSoakTest, LiveFootprintStaysFlatOverLongDrainedRun) {
       e.kind = EventKind::kNotify;
       e.item = Item("src" + std::to_string(p));
       e.values = {Value::Int(v)};
+      rec.FlushSink(e.time);
       int64_t id = rec.Record(e);
       PendingFire f;
       f.fire_ms = std::max(last_fire[p] + 1, now + rng.UniformInt(50, 4000));

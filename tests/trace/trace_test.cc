@@ -36,14 +36,18 @@ Event Existence(TimePoint t, const ItemId& item, bool insert) {
 TEST(TraceRecorderTest, AssignsSequentialIds) {
   TraceRecorder rec;
   ItemId x{"X", {}};
-  EXPECT_EQ(rec.Record(Write(TimePoint::FromMillis(10), "A", x,
-                             Value::Int(1))),
-            0);
-  EXPECT_EQ(rec.Record(Write(TimePoint::FromMillis(20), "A", x,
-                             Value::Int(2))),
-            1);
+  // Record hands out provisional ids; the merged log is numbered densely in
+  // time order and triggers are rewritten to the final ids.
+  int64_t first =
+      rec.Record(Write(TimePoint::FromMillis(10), "A", x, Value::Int(1)));
+  rule::Event second = Write(TimePoint::FromMillis(20), "A", x, Value::Int(2));
+  second.trigger_event_id = first;
+  EXPECT_NE(rec.Record(second), first);
   Trace t = rec.Finish(TimePoint::FromMillis(100));
-  EXPECT_EQ(t.events.size(), 2u);
+  ASSERT_EQ(t.events.size(), 2u);
+  EXPECT_EQ(t.events[0].id, 0);
+  EXPECT_EQ(t.events[1].id, 1);
+  EXPECT_EQ(t.events[1].trigger_event_id, 0);
   EXPECT_EQ(t.horizon, TimePoint::FromMillis(100));
 }
 
