@@ -3,139 +3,15 @@
 // run at any thread count — including the violation cap, which must keep
 // exactly the violations a sequential scan would have materialized.
 
-#include <queue>
-#include <string>
-#include <vector>
-
 #include <gtest/gtest.h>
 
-#include "src/common/rng.h"
-#include "src/rule/parser.h"
 #include "src/trace/valid_execution.h"
+#include "tests/trace/trace_generators.h"
 
 namespace hcm::trace {
 namespace {
 
-using rule::Event;
-using rule::EventKind;
-using rule::ItemId;
-
-ItemId Item(const std::string& base) { return ItemId{base, {}}; }
-
-struct GeneratedTrace {
-  Trace trace;
-  std::vector<rule::Rule> rules;
-};
-
-// Compact cousin of the check_equivalence generator: per-pair notify -> WR
-// propagation, spontaneous writes with tracked old values, and (optionally)
-// injected violations of properties 2, 5 and 6 spread across many items so
-// the per-item and per-chunk fan-outs both see them.
-GeneratedTrace Generate(uint64_t seed, size_t target_events,
-                        int violation_budget) {
-  constexpr size_t kPairs = 16;
-  GeneratedTrace out;
-  Rng rng(seed);
-  TraceRecorder rec;
-
-  for (size_t p = 0; p < kPairs; ++p) {
-    auto r = rule::ParseRule("N(src" + std::to_string(p) + ", b) -> 5s WR(dst" +
-                             std::to_string(p) + ", b)");
-    EXPECT_TRUE(r.ok());
-    r->id = static_cast<int64_t>(p);
-    out.rules.push_back(*r);
-    rec.SetInitialValue(Item("src" + std::to_string(p)), Value::Int(0));
-    rec.SetInitialValue(Item("dst" + std::to_string(p)), Value::Int(0));
-  }
-
-  struct PendingFire {
-    int64_t fire_ms = 0;
-    uint64_t seq = 0;
-    size_t pair = 0;
-    int64_t value = 0;
-    int64_t trigger_id = 0;
-    bool corrupt_value = false;
-    bool operator>(const PendingFire& o) const {
-      return fire_ms != o.fire_ms ? fire_ms > o.fire_ms : seq > o.seq;
-    }
-  };
-  std::vector<int64_t> current(kPairs, 0);
-  std::priority_queue<PendingFire, std::vector<PendingFire>,
-                      std::greater<PendingFire>>
-      pending;
-  std::vector<int64_t> last_fire(kPairs, 0);
-  uint64_t seq = 0;
-  int64_t now = 0;
-  int corrupt_old = violation_budget, dropped_wr = violation_budget,
-      corrupt_wr = violation_budget;
-
-  auto flush_pending = [&](int64_t up_to_ms) {
-    while (!pending.empty() && pending.top().fire_ms <= up_to_ms) {
-      PendingFire f = pending.top();
-      pending.pop();
-      Event e;
-      e.time = TimePoint::FromMillis(f.fire_ms);
-      e.site = "D" + std::to_string(f.pair);
-      e.kind = EventKind::kWriteRequest;
-      e.item = Item("dst" + std::to_string(f.pair));
-      e.values = {Value::Int(f.corrupt_value ? f.value + 1000000 : f.value)};
-      e.rule_id = static_cast<int64_t>(f.pair);
-      e.trigger_event_id = f.trigger_id;
-      e.rhs_step = 0;
-      rec.Record(e);
-    }
-  };
-
-  while (rec.num_events() < target_events) {
-    now += rng.UniformInt(1, 10);
-    flush_pending(now);
-    size_t p = rng.Index(kPairs);
-    if (rng.Bernoulli(0.3)) {
-      Event e;
-      e.time = TimePoint::FromMillis(now);
-      e.site = "S" + std::to_string(p);
-      e.kind = EventKind::kNotify;
-      e.item = Item("src" + std::to_string(p));
-      int64_t v = rng.UniformInt(0, 999);
-      e.values = {Value::Int(v)};
-      int64_t id = rec.Record(e);
-      if (dropped_wr > 0 && rng.Bernoulli(0.01)) {
-        --dropped_wr;  // property 6: obligation never met
-        continue;
-      }
-      PendingFire f;
-      f.fire_ms = std::max(last_fire[p] + 1, now + rng.UniformInt(50, 4000));
-      last_fire[p] = f.fire_ms;
-      f.seq = ++seq;
-      f.pair = p;
-      f.value = v;
-      f.trigger_id = id;
-      if (corrupt_wr > 0 && rng.Bernoulli(0.01)) {
-        --corrupt_wr;  // property 5: template mismatch
-        f.corrupt_value = true;
-      }
-      pending.push(f);
-    } else {
-      Event e;
-      e.time = TimePoint::FromMillis(now);
-      e.site = "A";
-      e.kind = EventKind::kWriteSpont;
-      e.item = Item("src" + std::to_string(p));
-      int64_t v = rng.UniformInt(0, 999);
-      Value old_v = Value::Int(current[p]);
-      if (corrupt_old > 0 && rng.Bernoulli(0.01)) {
-        --corrupt_old;  // property 2: old value the state never held
-        old_v = Value::Int(7000000 + corrupt_old);
-      }
-      e.values = {std::move(old_v), Value::Int(v)};
-      rec.Record(e);
-      current[p] = v;
-    }
-  }
-  flush_pending(now + 5001);
-  out.trace = rec.Finish(TimePoint::FromMillis(now + 10000));
-  return out;
-}
+using testgen::GeneratedTrace;
 
 void ExpectSameReport(const ExecutionReport& reference,
                       const ExecutionReport& run, size_t threads) {
@@ -148,7 +24,8 @@ void ExpectSameReport(const ExecutionReport& reference,
 }
 
 TEST(ParallelCheckTest, ValidTraceMatchesAtAnyThreadCount) {
-  GeneratedTrace g = Generate(11, 20000, /*violation_budget=*/0);
+  GeneratedTrace g = testgen::GenerateObligationTrace(
+      11, 20000, /*violation_budget=*/0);
   ExecutionReport reference = CheckValidExecution(g.trace, g.rules);
   EXPECT_TRUE(reference.valid) << reference.ToString();
   for (size_t threads : {2u, 4u, 8u}) {
@@ -160,7 +37,8 @@ TEST(ParallelCheckTest, ValidTraceMatchesAtAnyThreadCount) {
 }
 
 TEST(ParallelCheckTest, ViolatingTraceMatchesAtAnyThreadCount) {
-  GeneratedTrace g = Generate(23, 20000, /*violation_budget=*/8);
+  GeneratedTrace g = testgen::GenerateObligationTrace(
+      23, 20000, /*violation_budget=*/8);
   ExecutionReport reference = CheckValidExecution(g.trace, g.rules);
   EXPECT_FALSE(reference.valid);
   // Budgets stay below the 50-violation cap, so every violation is
@@ -179,7 +57,8 @@ TEST(ParallelCheckTest, ViolatingTraceMatchesAtAnyThreadCount) {
 // the violations a sequential scan would have kept (the earliest by event
 // order, phase by phase) and still count the rest toward invalidity.
 TEST(ParallelCheckTest, ViolationCapKeepsSequentialPrefix) {
-  GeneratedTrace g = Generate(37, 20000, /*violation_budget=*/30);
+  GeneratedTrace g = testgen::GenerateObligationTrace(
+      37, 20000, /*violation_budget=*/30);
   ValidExecutionOptions capped;
   capped.max_violations = 7;
   ExecutionReport reference = CheckValidExecution(g.trace, g.rules, capped);
@@ -193,28 +72,23 @@ TEST(ParallelCheckTest, ViolationCapKeepsSequentialPrefix) {
   }
 }
 
-// The parallel indexed path agrees with the single-threaded reference
-// (string-scan) implementation on the violation list: closes the loop
-// indexed-parallel == indexed-sequential == reference.
-TEST(ParallelCheckTest, ParallelIndexedMatchesReferenceImpl) {
-  GeneratedTrace g = Generate(41, 8000, /*violation_budget=*/5);
-  ValidExecutionOptions reference_opts;
-  reference_opts.use_reference_impl = true;
-  ExecutionReport reference =
-      CheckValidExecution(g.trace, g.rules, reference_opts);
-  ValidExecutionOptions parallel_opts;
-  parallel_opts.num_threads = 4;
-  ExecutionReport run = CheckValidExecution(g.trace, g.rules, parallel_opts);
-  EXPECT_EQ(reference.ToString(), run.ToString());
-  EXPECT_EQ(reference.valid, run.valid);
-  EXPECT_EQ(reference.obligations_checked, run.obligations_checked);
-}
-
 TEST(ParallelCheckTest, ZeroThreadsRunsInline) {
-  GeneratedTrace g = Generate(53, 2000, /*violation_budget=*/2);
+  GeneratedTrace g = testgen::GenerateObligationTrace(
+      53, 2000, /*violation_budget=*/2);
   ValidExecutionOptions zero;
   zero.num_threads = 0;
   ExecutionReport a = CheckValidExecution(g.trace, g.rules, zero);
+  ExecutionReport b = CheckValidExecution(g.trace, g.rules);
+  EXPECT_EQ(a.ToString(), b.ToString());
+  EXPECT_EQ(a.DescribeCheckStats(), b.DescribeCheckStats());
+}
+
+// Two indexed runs over the large randomized trace must agree with
+// themselves too (guards against iteration-order nondeterminism in the
+// checker's hash maps).
+TEST(CheckEquivalenceTest, IndexedRunsAreDeterministic) {
+  GeneratedTrace g = testgen::GenerateCheckTrace(424242);
+  ExecutionReport a = CheckValidExecution(g.trace, g.rules);
   ExecutionReport b = CheckValidExecution(g.trace, g.rules);
   EXPECT_EQ(a.ToString(), b.ToString());
   EXPECT_EQ(a.DescribeCheckStats(), b.DescribeCheckStats());

@@ -6,63 +6,16 @@
 // worker owns its own memo caches. ToString excludes stats, which is what
 // makes the byte-identity contract checkable.)
 
-#include <string>
-#include <vector>
-
 #include <gtest/gtest.h>
 
-#include "src/common/rng.h"
 #include "src/spec/guarantee.h"
 #include "src/trace/guarantee_checker.h"
+#include "tests/trace/trace_generators.h"
 
 namespace hcm::trace {
 namespace {
 
-using rule::Event;
-using rule::EventKind;
 using rule::ItemId;
-
-// Propagation-shaped trace: spontaneous writes to src(i), each normally
-// followed by a W of the same value on dst(i) within 2s. `corrupt_every`
-// garbles the propagated value of every k-th write (0 = never): dst then
-// holds a value src never held, violating y-follows-x.
-Trace Generate(uint64_t seed, size_t num_writes, size_t corrupt_every) {
-  constexpr int kIds = 6;
-  Rng rng(seed);
-  TraceRecorder rec;
-  for (int i = 0; i < kIds; ++i) {
-    rec.SetInitialValue(ItemId{"src", {Value::Int(i)}}, Value::Int(0));
-    rec.SetInitialValue(ItemId{"dst", {Value::Int(i)}}, Value::Int(0));
-  }
-  std::vector<int64_t> current(kIds, 0);
-  int64_t now = 0;
-  for (size_t u = 0; u < num_writes; ++u) {
-    now += static_cast<int64_t>(rng.UniformInt(100, 3000));
-    int i = static_cast<int>(rng.Index(kIds));
-    int64_t v = static_cast<int64_t>(rng.UniformInt(1, 100000));
-    Event ws;
-    ws.time = TimePoint::FromMillis(now);
-    ws.site = "A";
-    ws.kind = EventKind::kWriteSpont;
-    ws.item = ItemId{"src", {Value::Int(i)}};
-    ws.values = {Value::Int(current[i]), Value::Int(v)};
-    rec.Record(ws);
-    current[i] = v;
-    int64_t propagated = v;
-    if (corrupt_every != 0 && u % corrupt_every == corrupt_every - 1) {
-      propagated = v + 1000000;
-    }
-    Event w;
-    w.time = TimePoint::FromMillis(now +
-                                   static_cast<int64_t>(rng.UniformInt(50, 2000)));
-    w.site = "B";
-    w.kind = EventKind::kWrite;
-    w.item = ItemId{"dst", {Value::Int(i)}};
-    w.values = {Value::Int(propagated)};
-    rec.Record(w);
-  }
-  return rec.Finish(TimePoint::FromMillis(now + 10000));
-}
 
 void ExpectSameResult(const GuaranteeCheckResult& reference,
                       const GuaranteeCheckResult& run, size_t threads) {
@@ -81,7 +34,8 @@ void ExpectSameResult(const GuaranteeCheckResult& reference,
 }
 
 TEST(ParallelGuaranteeTest, HoldingTraceMatchesAtAnyThreadCount) {
-  Trace t = Generate(11, 300, /*corrupt_every=*/0);
+  Trace t =
+      testgen::GeneratePropagationTrace(11, 300, /*corrupt_every=*/0);
   GuaranteeCheckOptions opts;
   opts.settle_margin = Duration::Seconds(5);
   auto reference =
@@ -99,7 +53,8 @@ TEST(ParallelGuaranteeTest, HoldingTraceMatchesAtAnyThreadCount) {
 }
 
 TEST(ParallelGuaranteeTest, ViolatingTraceMatchesAtAnyThreadCount) {
-  Trace t = Generate(23, 150, /*corrupt_every=*/7);
+  Trace t =
+      testgen::GeneratePropagationTrace(23, 150, /*corrupt_every=*/7);
   GuaranteeCheckOptions opts;
   opts.settle_margin = Duration::Seconds(5);
   auto reference =
@@ -120,7 +75,8 @@ TEST(ParallelGuaranteeTest, ViolatingTraceMatchesAtAnyThreadCount) {
 // first `max_counterexamples` violations in witness order, not whichever
 // worker finished first.
 TEST(ParallelGuaranteeTest, CounterexampleCapKeepsSequentialPrefix) {
-  Trace t = Generate(37, 200, /*corrupt_every=*/5);
+  Trace t =
+      testgen::GeneratePropagationTrace(37, 200, /*corrupt_every=*/5);
   GuaranteeCheckOptions opts;
   opts.settle_margin = Duration::Seconds(5);
   opts.max_counterexamples = 3;
@@ -138,28 +94,9 @@ TEST(ParallelGuaranteeTest, CounterexampleCapKeepsSequentialPrefix) {
   }
 }
 
-// Reference mode pins the per-event string-matching implementation and
-// runs single-threaded regardless of num_threads; the parallel indexed
-// path must agree with it on the full report.
-TEST(ParallelGuaranteeTest, ParallelIndexedMatchesReferenceImpl) {
-  Trace t = Generate(41, 120, /*corrupt_every=*/9);
-  GuaranteeCheckOptions ref_opts;
-  ref_opts.settle_margin = Duration::Seconds(5);
-  ref_opts.use_reference_impl = true;
-  ref_opts.num_threads = 8;  // must be ignored in reference mode
-  auto reference =
-      CheckGuarantee(t, spec::YFollowsX("src(n)", "dst(n)"), ref_opts);
-  ASSERT_TRUE(reference.ok());
-  GuaranteeCheckOptions par_opts;
-  par_opts.settle_margin = Duration::Seconds(5);
-  par_opts.num_threads = 4;
-  auto run = CheckGuarantee(t, spec::YFollowsX("src(n)", "dst(n)"), par_opts);
-  ASSERT_TRUE(run.ok());
-  ExpectSameResult(*reference, *run, 4);
-}
-
 TEST(ParallelGuaranteeTest, ZeroThreadsBehavesAsOne) {
-  Trace t = Generate(53, 100, /*corrupt_every=*/4);
+  Trace t =
+      testgen::GeneratePropagationTrace(53, 100, /*corrupt_every=*/4);
   GuaranteeCheckOptions zero;
   zero.settle_margin = Duration::Seconds(5);
   zero.num_threads = 0;
