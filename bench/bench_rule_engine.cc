@@ -140,7 +140,7 @@ BENCHMARK(BM_IndexedDispatch)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
 // The interned path: the same RuleIndex pruning, but candidates are matched
 // through compiled slots against one reusable BindingFrame — no std::map
 // construction, no node allocation per candidate. This is what
-// Shell::MatchEvent runs when use_reference_impl is off.
+// Shell::MatchEvent runs.
 void BM_CompiledDispatch(benchmark::State& state) {
   const int num_rules = static_cast<int>(state.range(0));
   auto templates = MakeDispatchTemplates(num_rules);

@@ -2,10 +2,6 @@
 // reconstruction, valid-execution checking (Appendix A.2) and guarantee
 // checking over synthetic traces of 10k / 100k / 1M events, in the
 // bench_util table idiom: every timed row quotes ns/event and events/s.
-// The *_reference rows run the pre-index whole-trace-scan implementations
-// (kept behind use_reference_impl for the equivalence suite) and are
-// measured only at sizes where they finish in reasonable time; the speedup
-// claimed in DESIGN.md §4b is indexed vs reference at the same size.
 //
 // The streaming rows feed the identical trace through
 // trace::StreamingChecker event by event (valid-execution and guarantee
@@ -263,18 +259,6 @@ std::vector<CheckRow> RunSize(size_t n) {
                         trace::CheckValidExecution(b.trace, b.rules, vopts);
                     if (!report.valid) std::abort();
                   }), 0, ""});
-  if (n <= 100000) {
-    // The whole-trace-scan implementation is quadratic in events for the
-    // same-instant chains and O(events x rules) for obligations; 1M would
-    // take minutes.
-    trace::ValidExecutionOptions ref = vopts;
-    ref.use_reference_impl = true;
-    rows.push_back({"valid_reference", events, MinWallMs(1, [&] {
-                      auto report =
-                          trace::CheckValidExecution(b.trace, b.rules, ref);
-                      if (!report.valid) std::abort();
-                    }), 0, ""});
-  }
 
   trace::GuaranteeCheckOptions gopts;
   gopts.settle_margin = Duration::Millis(kRuleDeltaMs);
@@ -282,15 +266,6 @@ std::vector<CheckRow> RunSize(size_t n) {
                     auto r = trace::CheckGuarantee(b.trace, b.guarantee, gopts);
                     if (!r.ok() || !r->holds) std::abort();
                   }), 0, ""});
-  if (n <= 100000) {
-    trace::GuaranteeCheckOptions ref = gopts;
-    ref.use_reference_impl = true;
-    rows.push_back({"guarantee_reference", events, MinWallMs(1, [&] {
-                      auto r =
-                          trace::CheckGuarantee(b.trace, b.guarantee, ref);
-                      if (!r.ok() || !r->holds) std::abort();
-                    }), 0, ""});
-  }
 
   // Streaming: valid-execution and guarantee in one bounded-memory pass
   // over the same event stream.

@@ -70,12 +70,10 @@ struct PayrollDeployment {
   static PayrollDeployment Create(const std::string& rid_a_interfaces,
                                   int num_employees,
                                   sim::NetworkConfig net = {},
-                                  size_t num_threads = 1,
-                                  bool use_reference_impl = false) {
+                                  size_t num_threads = 1) {
     toolkit::SystemOptions opts;
     opts.network = net;
     opts.num_threads = num_threads;
-    opts.use_reference_impl = use_reference_impl;
     return Create(rid_a_interfaces, num_employees, opts);
   }
 

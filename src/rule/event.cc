@@ -154,21 +154,6 @@ Result<Event> EventTemplate::InstantiateCompiled(
   return event;
 }
 
-Result<Event> EventTemplate::Instantiate(const Binding& binding) const {
-  Event event;
-  event.kind = kind;
-  event.site = site;
-  if (EventKindHasItem(kind)) {
-    HCM_ASSIGN_OR_RETURN(event.item, item.Ground(binding));
-  }
-  event.values.reserve(values.size());
-  for (const Term& t : values) {
-    HCM_ASSIGN_OR_RETURN(Value v, t.Ground(binding));
-    event.values.push_back(std::move(v));
-  }
-  return event;
-}
-
 std::string EventTemplate::ToString() const {
   std::string payload;
   if (EventKindHasItem(kind)) {

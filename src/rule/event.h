@@ -102,10 +102,6 @@ struct EventTemplate {
   // matching interpretation and returns true; on failure leaves it alone.
   bool Matches(const Event& event, Binding* binding) const;
 
-  // Builds a concrete event from this template under a binding (site/time
-  // are filled by the caller). Errors when a variable is unbound.
-  Result<Event> Instantiate(const Binding& binding) const;
-
   // Resolves variable terms to slots and interns the item base. Called by
   // Rule::Compile; precondition for the *Compiled methods below.
   void Compile(SlotMap* slots);
@@ -115,7 +111,9 @@ struct EventTemplate {
   // failure, bindings made during the attempt are rolled back.
   bool MatchesCompiled(const Event& event, BindingFrame* frame) const;
 
-  // Slot-indexed Instantiate; also stamps the event's interned base id.
+  // Builds a concrete event from this template under a slot frame
+  // (site/time are filled by the caller) and stamps the event's interned
+  // base id. Errors when a variable is unbound.
   Result<Event> InstantiateCompiled(const BindingFrame& frame) const;
 
   // "N(salary1(n), b)" (+"@site" when pinned).

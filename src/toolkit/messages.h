@@ -26,17 +26,14 @@ struct EventMessage {
   rule::Event event;
 };
 
-// A fired rule, LHS shell -> RHS shell. On the compiled path the matching
-// interpretation travels as a raw slot-indexed frame (the two shells
-// compiled identical rule content, so their slot maps agree — see
-// Rule::Compile); the reference path carries the name-keyed map.
+// A fired rule, LHS shell -> RHS shell. The matching interpretation
+// travels as a raw slot-indexed frame: the two shells compiled identical
+// rule content, so their slot maps agree (see Rule::Compile).
 struct FireMessage {
   int64_t rule_id = -1;
   int64_t trigger_event_id = -1;
   TimePoint trigger_time;
-  rule::Binding binding;      // reference (string) path
-  rule::BindingFrame frame;   // compiled path
-  bool compiled = false;
+  rule::BindingFrame frame;
 };
 
 // CM-Interface request (kinds "wr", "rr", "del"): a pre-built event whose

@@ -92,7 +92,6 @@ Status System::EnsureShell(const std::string& site) {
   auto shell = std::make_unique<Shell>(site, &executor_, &network_,
                                        &recorder_, &registry_,
                                        &guarantee_status_);
-  shell->set_use_reference_impl(options_.use_reference_impl);
   HCM_RETURN_IF_ERROR(shell->Initialize());
   if (options_.storage.enabled()) {
     HCM_ASSIGN_OR_RETURN(auto store,

@@ -48,11 +48,6 @@ struct SystemOptions {
   // engine deliver them without the synchronization-window clamp (see
   // src/rule/monotone.h). Off = every cross-site message is clamped.
   bool elide_monotone_rules = true;
-  // Routes every shell through the string-keyed reference matching path
-  // instead of the compiled slot/symbol path (see Shell::
-  // set_use_reference_impl). The interned-equivalence suite runs both and
-  // asserts byte-identical traces, guarantee reports, and dispatch stats.
-  bool use_reference_impl = false;
   // Durability: when storage.dir is set every shell journals its state
   // mutations to <dir>/<site>/ and can crash + recover mid-run (see
   // docs/STORAGE_FORMAT.md and DESIGN.md §4e).

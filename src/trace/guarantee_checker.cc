@@ -67,7 +67,7 @@ class CheckerImpl {
       : guarantee_(guarantee),
         options_(options),
         horizon_(trace.horizon),
-        owned_(StateTimeline::Build(trace, !options.use_reference_impl)),
+        owned_(StateTimeline::Build(trace)),
         timeline_(&owned_) {
     CollectGuaranteeItems();
     BuildUniversalExtraPoints();
@@ -188,10 +188,9 @@ class CheckerImpl {
     // over workers, each owning its own memo caches, and the verdicts are
     // merged back in witness order — violation counts and counterexamples
     // (capped only after the merge) are byte-identical at any thread count.
-    size_t threads = options_.use_reference_impl
-                         ? 1
-                         : std::max<size_t>(1, options_.num_threads);
-    threads = std::min(threads, std::max<size_t>(1, representative.size()));
+    size_t threads =
+        std::min(std::max<size_t>(1, options_.num_threads),
+                 std::max<size_t>(1, representative.size()));
     std::vector<uint8_t> violated(representative.size(), 0);
     if (threads <= 1) {
       for (size_t i = 0; i < representative.size(); ++i) {
@@ -357,20 +356,9 @@ class CheckerImpl {
   // Matches depend only on (ref, the binding's values for the ref's
   // variable arguments) — the "binding shape" — so they are memoized per
   // shape as (item, binding-delta) pairs and replayed onto each concrete
-  // binding. Reference mode re-unifies against every instance per call.
+  // binding.
   std::vector<std::pair<uint32_t, Binding>> MatchingItems(
       const ItemRef& ref, const Binding& binding, EvalContext& ctx) const {
-    if (options_.use_reference_impl) {
-      ++ctx.stats.match_cache_misses;
-      std::vector<std::pair<uint32_t, Binding>> out;
-      for (uint32_t id : timeline().ItemIdsWithBase(ref.base)) {
-        Binding b = binding;
-        if (ref.Unify(timeline().items().item(id), &b)) {
-          out.emplace_back(id, std::move(b));
-        }
-      }
-      return out;
-    }
     MatchKey key;
     key.ref = &ref;
     for (const auto& t : ref.args) {
@@ -454,11 +442,6 @@ class CheckerImpl {
   const std::vector<TimePoint>& SamplePoints(const std::vector<uint32_t>& items,
                                              bool existential,
                                              EvalContext& ctx) const {
-    if (options_.use_reference_impl) {
-      ++ctx.stats.sample_cache_misses;
-      ctx.scratch_points = ComputeSamplePoints(items, existential);
-      return ctx.scratch_points;
-    }
     // Memoized: the same item sets recur for every candidate assignment.
     // The key is the interned id list (plus the quantifier flag) — no
     // string building, and no allocation at all on a hit.
@@ -484,18 +467,7 @@ class CheckerImpl {
   std::vector<uint32_t> AtomItems(const GuaranteeAtom& atom,
                                   const Binding& binding,
                                   EvalContext& ctx) const {
-    const std::vector<ItemRef>* refs = nullptr;
-    std::vector<ItemRef> collected;
-    if (options_.use_reference_impl) {
-      if (atom.exists_item.has_value()) {
-        collected.push_back(*atom.exists_item);
-      } else if (atom.pred != nullptr) {
-        atom.pred->Collect(&collected, nullptr);
-      }
-      refs = &collected;
-    } else {
-      refs = &atom_refs_.at(&atom);
-    }
+    const std::vector<ItemRef>* refs = &atom_refs_.at(&atom);
     if (refs->empty()) refs = &all_refs_;
     std::vector<uint32_t> out;
     for (const auto& ref : *refs) {
@@ -699,20 +671,8 @@ class CheckerImpl {
   std::vector<Binding> ParamBindings(const GuaranteeAtom& atom,
                                      const Binding& binding,
                                      EvalContext& ctx) const {
-    const std::vector<ItemRef>* refs = nullptr;
-    std::vector<ItemRef> collected;
-    if (options_.use_reference_impl) {
-      if (atom.exists_item.has_value()) {
-        collected.push_back(*atom.exists_item);
-      } else if (atom.pred != nullptr) {
-        atom.pred->Collect(&collected, nullptr);
-      }
-      refs = &collected;
-    } else {
-      refs = &atom_refs_.at(&atom);
-    }
     std::vector<Binding> current = {binding};
-    for (const auto& ref : *refs) {
+    for (const auto& ref : atom_refs_.at(&atom)) {
       bool has_open_args = false;
       for (const auto& t : ref.args) {
         if (t.is_variable()) has_open_args = true;
@@ -798,7 +758,6 @@ class CheckerImpl {
                        SampleKeyHash>
         sample_cache;
     std::vector<uint32_t> sample_key_scratch;
-    std::vector<TimePoint> scratch_points;  // reference mode only
     std::unordered_map<MatchKey, std::vector<CachedMatch>, MatchKeyHash>
         match_cache;
     GuaranteeCheckStats stats;

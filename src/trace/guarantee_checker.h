@@ -21,21 +21,17 @@ struct GuaranteeCheckOptions {
   size_t max_lhs_witnesses = 2000000;
   // Cap on materialized counterexamples.
   size_t max_counterexamples = 5;
-  // Test-only: recompute sample points and item matches on every call
-  // instead of memoizing (the pre-index reference semantics). The
-  // equivalence suite asserts both paths produce identical results.
-  bool use_reference_impl = false;
   // Worker threads for the per-witness existential search (the dominant
   // cost on large traces). Each worker owns its own memo caches; violations
   // and counterexamples are merged in witness order, so reports are
-  // byte-identical at any thread count. Reference mode runs single-threaded
-  // regardless. 0 behaves as 1.
+  // byte-identical at any thread count. 0 behaves as 1.
   size_t num_threads = 1;
 };
 
 // Work counters for one CheckGuarantee run (dispatch-stats-style). Not part
-// of GuaranteeCheckResult::ToString so indexed and reference runs stay
-// byte-comparable; render with DescribeCheckStats.
+// of GuaranteeCheckResult::ToString, so results stay byte-comparable across
+// thread counts (each worker owns its own caches) and against the golden
+// fixtures; render with DescribeCheckStats.
 struct GuaranteeCheckStats {
   size_t items = 0;                  // items the trace timeline knows
   uint64_t sample_cache_hits = 0;    // memoized sample-point reuses

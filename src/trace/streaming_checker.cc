@@ -906,7 +906,6 @@ struct StreamingChecker::Impl {
                  std::optional<TimePoint> hi, TimePoint region_horizon) {
     GuaranteeCheckOptions opts = options.guarantee;
     opts.num_threads = 1;
-    opts.use_reference_impl = false;
     GuaranteeWindow win;
     win.anchor_var = gs->anchor;
     win.param_vars = gs->param_vars;
@@ -1095,7 +1094,6 @@ struct StreamingChecker::Impl {
       // entry — callers validate guarantee specs offline.
       GuaranteeCheckOptions opts = options.guarantee;
       opts.num_threads = 1;
-      opts.use_reference_impl = false;
       auto r = CheckGuaranteeOverTimeline(snap, horizon, *gs.g, opts, nullptr,
                                           nullptr);
       if (r.ok()) results[gs.g->name] = std::move(*r);

@@ -60,11 +60,11 @@
 namespace hcm::trace {
 
 struct StreamingCheckOptions {
-  // Valid-execution options. num_threads and use_reference_impl are
-  // ignored (the streaming engine is sequential on the feed thread);
-  // outages seed the outage list (NoteOutage adds more).
+  // Valid-execution options. num_threads is ignored (the streaming engine
+  // is sequential on the feed thread); outages seed the outage list
+  // (NoteOutage adds more).
   ValidExecutionOptions valid;
-  // Guarantee options. num_threads/use_reference_impl likewise ignored.
+  // Guarantee options. num_threads likewise ignored.
   GuaranteeCheckOptions guarantee;
   // Live notification for each valid-execution violation as it is found
   // (best-effort preview: the merged final report applies the global cap

@@ -48,10 +48,9 @@ void InternTraceItems(Trace* trace) {
   trace->items_interned = true;
 }
 
-StateTimeline StateTimeline::Build(const Trace& trace,
-                                   bool use_interned_ids) {
+StateTimeline StateTimeline::Build(const Trace& trace) {
   StateTimeline tl;
-  const bool pre_interned = use_interned_ids && trace.items_interned;
+  const bool pre_interned = trace.items_interned;
   if (pre_interned) {
     tl.interner_ = trace.interner;
     tl.spans_.assign(tl.interner_.size(), {0, 0});

@@ -254,10 +254,9 @@ class StateTimeline {
  public:
   // Builds from a trace. Events must be time-ordered. When the trace
   // carries recorder-stamped ids (items_interned) the interner is cloned
-  // and per-event interning is skipped; pass use_interned_ids = false to
-  // force the string-keyed reference path (the use_reference_impl flag of
-  // the checkers routes here, keeping both paths equivalence-testable).
-  static StateTimeline Build(const Trace& trace, bool use_interned_ids = true);
+  // and per-event interning is skipped; hand-built and parsed traces are
+  // interned from scratch.
+  static StateTimeline Build(const Trace& trace);
 
   // Streaming support: assembles a timeline directly from per-item segment
   // runs, indexed by `interner`'s dense ids (per_item[id] = that item's

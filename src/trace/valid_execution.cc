@@ -74,7 +74,7 @@ class Checker {
       : trace_(trace),
         rules_(rules),
         options_(options),
-        timeline_(StateTimeline::Build(trace, !options.use_reference_impl)) {
+        timeline_(StateTimeline::Build(trace)) {
     rules_by_id_.reserve(rules_.size());
     for (const auto& r : rules_) rules_by_id_[r.id] = &r;
     // Recorder-assigned ids are dense, so id lookup is normally a plain
@@ -91,7 +91,7 @@ class Checker {
       events_by_id_.reserve(trace_.events.size());
       for (const auto& e : trace_.events) events_by_id_[e.id] = &e;
     }
-    if (!options_.use_reference_impl) BuildEventIndexes();
+    BuildEventIndexes();
     if (!options_.outages.empty()) BuildSiteOfBase();
   }
 
@@ -102,9 +102,7 @@ class Checker {
     for (const auto& r : rules_) {
       if (!r.rhs.empty()) ClearedRhsTemplate(r, 0);
     }
-    size_t threads = options_.use_reference_impl
-                         ? 1
-                         : std::max<size_t>(1, options_.num_threads);
+    size_t threads = std::max<size_t>(1, options_.num_threads);
     RunSequential([this](Sink* sink) { CheckOrdering(sink); });
     MergePhase(RunWriteConsistency(threads));
     MergePhase(RunProvenance(threads));
@@ -246,24 +244,11 @@ class Checker {
   }
 
   // Same-instant write chains: did an earlier write at exactly `e.time` on
-  // the same item produce the old value `e` claims? Indexed path: a sorted
-  // range lookup in the item's write run. Reference: whole-trace scan.
+  // the same item produce the old value `e` claims? A sorted range lookup
+  // in the item's write run.
   bool SameInstantChainMatches(const rule::Event& e, uint32_t id,
                                Sink* sink) const {
-    if (options_.use_reference_impl) {
-      for (const auto& other : trace_.events) {
-        if (other.time != e.time || other.id >= e.id) continue;
-        if (other.item == e.item &&
-            (other.kind == rule::EventKind::kWrite ||
-             other.kind == rule::EventKind::kWriteSpont) &&
-            other.written_value() == e.old_value()) {
-          return true;
-        }
-      }
-      return false;
-    }
     ++sink->chain_lookups;
-    if (id == ItemInterner::kNoId) return false;
     const std::vector<uint32_t>& run = writes_by_item_[id];
     auto lo = std::lower_bound(run.begin(), run.end(), e.time,
                                [this](uint32_t idx, TimePoint t) {
@@ -281,16 +266,11 @@ class Checker {
 
   // Properties 2+3: a Ws event's recorded old value must equal the state
   // just before it (writes change exactly their own item by construction of
-  // the per-item representation). Indexed path: one work unit per interned
-  // item id — an item's writes are independent of every other item's, and
-  // its sorted write run plus a private SegmentCursor give amortized-O(1)
-  // prior-state lookups. Reference path: the whole-trace scan as one unit.
+  // the per-item representation). One work unit per interned item id — an
+  // item's writes are independent of every other item's, and its sorted
+  // write run plus a private SegmentCursor give amortized-O(1) prior-state
+  // lookups.
   std::vector<Sink> RunWriteConsistency(size_t threads) {
-    if (options_.use_reference_impl) {
-      return RunUnits(1, 1, [this](size_t, Sink* sink) {
-        WriteConsistencyReference(sink);
-      });
-    }
     return RunUnits(threads, timeline_.items().size(),
                     [this](size_t id, Sink* sink) {
                       WriteConsistencyForItem(static_cast<uint32_t>(id), sink);
@@ -306,15 +286,6 @@ class Checker {
       std::optional<Value> before;
       if (seg != nullptr) before = seg->value;
       CheckWsOldValue(e, idx, id, before, sink);
-    }
-  }
-
-  void WriteConsistencyReference(Sink* sink) const {
-    for (size_t i = 0; i < trace_.events.size(); ++i) {
-      const rule::Event& e = trace_.events[i];
-      if (e.kind != rule::EventKind::kWriteSpont) continue;
-      CheckWsOldValue(e, i, ItemInterner::kNoId,
-                      timeline_.ValueBefore(e.item, e.time), sink);
     }
   }
 
@@ -457,22 +428,17 @@ class Checker {
   void ObligationsForEvent(size_t i, Sink* sink,
                            std::vector<size_t>* candidates) const {
     const rule::Event& e = trace_.events[i];
-    size_t num_candidates;
-    if (options_.use_reference_impl) {
-      num_candidates = rules_.size();
-    } else if (!rule_index_.MayMatchKind(e.kind)) {
+    if (!rule_index_.MayMatchKind(e.kind)) {
       // No rule listens to this kind at all (e.g. plain writes under a
       // notify-triggered program): skip the bucket lookup entirely.
       sink->obligation_scans_avoided += rules_.size();
       return;
-    } else {
-      num_candidates = rule_index_.LookupQuiet(e, candidates);
-      sink->obligation_scans_avoided += rules_.size() - num_candidates;
     }
+    size_t num_candidates = rule_index_.LookupQuiet(e, candidates);
+    sink->obligation_scans_avoided += rules_.size() - num_candidates;
     sink->obligation_candidates += num_candidates;
     for (size_t c = 0; c < num_candidates; ++c) {
-      const rule::Rule& r =
-          options_.use_reference_impl ? rules_[c] : rules_[(*candidates)[c]];
+      const rule::Rule& r = rules_[(*candidates)[c]];
       rule::Binding binding;
       if (!r.lhs.Matches(e, &binding)) continue;
       if (r.lhs_condition != nullptr) {
@@ -703,7 +669,7 @@ class Checker {
                              std::vector<rule::EventTemplate>>
       cleared_rhs_;
   // Per interned item: indexes into trace_.events of its W/Ws events,
-  // sorted by (time, id). Empty when use_reference_impl.
+  // sorted by (time, id).
   std::vector<std::vector<uint32_t>> writes_by_item_;
   // Generated events by (trigger, rule, step); built sequentially in
   // RunObligations before the fan-out, read-only inside the workers.

@@ -21,8 +21,9 @@ struct ExecutionViolation {
 
 // Work counters for one CheckValidExecution run (dispatch-stats-style;
 // see System::DescribeDispatchStats for the rule-engine analogue). Not part
-// of ExecutionReport::ToString so indexed and reference runs stay
-// byte-comparable; render with ExecutionReport::DescribeCheckStats.
+// of ExecutionReport::ToString, so reports stay byte-comparable across
+// thread counts and against the golden fixtures; render with
+// ExecutionReport::DescribeCheckStats.
 struct ValidExecutionStats {
   size_t items_indexed = 0;          // distinct items with timeline state
   size_t write_events_indexed = 0;   // Ws/W events in the per-item index
@@ -73,11 +74,6 @@ struct ValidExecutionOptions {
   // the merged report (violations, counters, caps) is byte-identical to a
   // single-threaded run at any thread count. 0 and 1 both run inline.
   size_t num_threads = 1;
-  // Test-only: disable the per-item event indexes and the rule-dispatch
-  // index, falling back to the whole-trace-scan reference implementation
-  // (also forces single-threaded checking). The equivalence suite asserts
-  // both paths produce identical reports.
-  bool use_reference_impl = false;
 };
 
 // Checks a recorded trace against the seven valid-execution properties of

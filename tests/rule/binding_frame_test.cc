@@ -108,15 +108,6 @@ TEST(RuleCompileTest, CompiledMatchAgreesWithReferenceMatch) {
   ASSERT_TRUE(r->lhs.MatchesCompiled(hit, &frame));
   // Same variables, same values, via the slot map.
   EXPECT_EQ(frame.ToMap(r->slots), binding);
-
-  // Both instantiation paths produce the same RHS event.
-  auto by_name = r->rhs[0].event.Instantiate(binding);
-  auto by_slot = r->rhs[0].event.InstantiateCompiled(frame);
-  ASSERT_TRUE(by_name.ok());
-  ASSERT_TRUE(by_slot.ok());
-  EXPECT_EQ(by_slot->item, by_name->item);
-  EXPECT_EQ(by_slot->values, by_name->values);
-  EXPECT_EQ(by_slot->kind, by_name->kind);
 }
 
 TEST(RuleCompileTest, FailedCompiledMatchRollsBackTheFrame) {

@@ -124,14 +124,22 @@ TEST(EventTemplateTest, FalseTemplateNeverMatches) {
 TEST(EventTemplateTest, InstantiateGroundsEvent) {
   auto tpl = ParseTemplate("WR(salary2(n), b)");
   ASSERT_TRUE(tpl.ok());
-  Binding binding{{"n", Value::Int(17)}, {"b", Value::Int(900)}};
-  auto event = tpl->Instantiate(binding);
+  SlotMap slots;
+  tpl->Compile(&slots);
+  const uint16_t n = static_cast<uint16_t>(slots.Find("n"));
+  const uint16_t b = static_cast<uint16_t>(slots.Find("b"));
+  BindingFrame frame(slots.size());
+  frame.Set(n, Value::Int(17));
+  frame.Set(b, Value::Int(900));
+  auto event = tpl->InstantiateCompiled(frame);
   ASSERT_TRUE(event.ok());
   EXPECT_EQ(event->kind, EventKind::kWriteRequest);
   EXPECT_EQ(event->item.ToString(), "salary2(17)");
   EXPECT_EQ(event->values[0], Value::Int(900));
   // Unbound variable.
-  EXPECT_FALSE(tpl->Instantiate(Binding{{"n", Value::Int(1)}}).ok());
+  BindingFrame partial(slots.size());
+  partial.Set(n, Value::Int(1));
+  EXPECT_FALSE(tpl->InstantiateCompiled(partial).ok());
 }
 
 TEST(EventTemplateTest, PeriodicTemplateMatchesPeriod) {
