@@ -25,6 +25,7 @@
 
 #include "src/spec/guarantee.h"
 #include "src/trace/guarantee_checker.h"
+#include "src/trace/streaming_checker.h"
 #include "src/trace/valid_execution.h"
 #include "tests/toolkit/deployment_runs.h"
 #include "tests/trace/trace_generators.h"
@@ -225,6 +226,166 @@ TEST(ParallelGuaranteeTest, ParallelIndexedMatchesReferenceImpl) {
                                    opts);
     ASSERT_TRUE(r.ok());
     ExpectMatchesFixture(name, Label(threads), r->ToString() + "\n");
+  }
+}
+
+
+// --- Outage-aware valid-execution reports (crash/restart runs) ---
+//
+// E1 payroll with site B crashed mid-run. Each report is recorded from the
+// offline checker and from the streaming checker, so the outage-deadline
+// logic stays pinned to frozen text rather than to a comparison of the two
+// checkers with each other.
+
+struct OutageRun {
+  trace::Trace trace;
+  std::vector<rule::Rule> rules;
+  std::vector<trace::SiteOutage> outages;
+  std::string streaming_report;  // live checker, fed the outage by the System
+};
+
+std::vector<trace::SiteOutage> OutagesOf(toolkit::System& system) {
+  std::vector<trace::SiteOutage> outages;
+  for (const auto& w : system.failures().DownWindows()) {
+    outages.push_back(trace::SiteOutage{w.site, w.from, w.to});
+  }
+  return outages;
+}
+
+// Payroll over `employees` rows with storage under `dir`, the suggested
+// strategy installed and a streaming checker attached in tee mode. `body`
+// drives the run and schedules the crash.
+template <typename Body>
+OutageRun RunWithCrash(const std::string& dir, int employees, size_t threads,
+                       const Body& body) {
+  std::filesystem::remove_all(dir);
+  toolkit::SystemOptions opts = Options(threads);
+  opts.storage.dir = dir;
+  opts.storage.commit_interval = Duration::Millis(10);
+  opts.storage.snapshot_period = Duration::Seconds(5);
+  auto d = bench::PayrollDeployment::Create(
+      "interface notify salary1(n) 1s\n", employees, opts);
+  toolkit::System& system = *d.system;
+  auto suggestions = *system.Suggest(d.constraint);
+  EXPECT_EQ(system.InstallStrategy("payroll", d.constraint,
+                                   suggestions.at(0).strategy),
+            Status::OK());
+  OutageRun run;
+  run.rules = testrun::InstalledRules({suggestions.at(0).strategy});
+  trace::StreamingChecker checker(run.rules, {});
+  EXPECT_EQ(system.AttachStreamingChecker(&checker), Status::OK());
+  body(system);
+  run.outages = OutagesOf(system);
+  run.trace = system.FinishTrace();
+  EXPECT_TRUE(checker.finished());
+  run.streaming_report = checker.execution_report().ToString();
+  std::filesystem::remove_all(dir);
+  return run;
+}
+
+// Crash B at 6s, restart at 10.95s; a probe write lands 150ms before the
+// crash, so its fire is held across the outage.
+OutageRun RunCrashRecovery(size_t threads) {
+  return RunWithCrash(
+      ::testing::TempDir() + "/golden_crash_recovery_" + Label(threads), 6,
+      threads, [](toolkit::System& system) {
+        ASSERT_EQ(system.ScheduleCrash("B", TimePoint::FromMillis(6000),
+                                       TimePoint::FromMillis(10950)),
+                  Status::OK());
+        Rng rng(7);
+        auto write = [&](int lo, int hi) {
+          int n = static_cast<int>(rng.UniformInt(1, 6));
+          int salary = static_cast<int>(rng.UniformInt(50000, 90000));
+          ASSERT_EQ(system.WorkloadWrite(
+                        rule::ItemId{"salary1", {Value::Int(n)}},
+                        Value::Int(salary)),
+                    Status::OK());
+          system.RunFor(Duration::Millis(rng.UniformInt(lo, hi)));
+        };
+        for (int u = 0; u < 8; ++u) write(50, 500);
+        system.RunFor(TimePoint::FromMillis(5850) - system.executor().now());
+        ASSERT_EQ(system.WorkloadWrite(
+                      rule::ItemId{"salary1", {Value::Int(3)}},
+                      Value::Int(99000)),
+                  Status::OK());
+        for (int u = 0; u < 12; ++u) write(200, 1500);
+        system.RunFor(Duration::Minutes(2));
+      });
+}
+
+// Crash B at 6s, restart at 12s, and cut the run at 11.95s: the held
+// notify's unextended deadline (~11.87s) has passed, its extended one has
+// not.
+OutageRun RunMidOutageCutoff(size_t threads) {
+  return RunWithCrash(
+      ::testing::TempDir() + "/golden_outage_cutoff_" + Label(threads), 4,
+      threads, [](toolkit::System& system) {
+        ASSERT_EQ(system.ScheduleCrash("B", TimePoint::FromMillis(6000),
+                                       TimePoint::FromMillis(12000)),
+                  Status::OK());
+        system.RunFor(Duration::Millis(5850));
+        ASSERT_EQ(system.WorkloadWrite(
+                      rule::ItemId{"salary1", {Value::Int(1)}},
+                      Value::Int(70000)),
+                  Status::OK());
+        system.RunFor(TimePoint::FromMillis(11950) -
+                      system.executor().now());
+      });
+}
+
+// Feeds a finished trace to a fresh streaming checker, one watermark per
+// new instant, and returns its report.
+std::string StreamedReport(const trace::Trace& t,
+                           const std::vector<rule::Rule>& rules,
+                           const trace::ValidExecutionOptions& vopts) {
+  trace::StreamingCheckOptions sopts;
+  sopts.valid = vopts;
+  trace::StreamingChecker checker(rules, {}, sopts);
+  for (const auto& [item, value] : t.initial_values) {
+    checker.OnInitialValue(item, value);
+  }
+  for (const auto& e : t.events) {
+    checker.OnWatermark(e.time);
+    checker.OnEvent(e);
+  }
+  checker.OnFinish(t.horizon);
+  return checker.execution_report().ToString();
+}
+
+std::string OfflineReport(const OutageRun& run, bool with_outages,
+                          size_t threads) {
+  trace::ValidExecutionOptions vopts;
+  if (with_outages) vopts.outages = run.outages;
+  vopts.num_threads = threads;
+  return trace::CheckValidExecution(run.trace, run.rules, vopts).ToString();
+}
+
+TEST(GoldenFixture, CrashRecoveryOutageAwareReport) {
+  const std::string name = "outage_crash_recovery_valid_execution.txt";
+  for (size_t threads : kThreadCounts) {
+    OutageRun run = RunCrashRecovery(threads);
+    ASSERT_FALSE(run.outages.empty());
+    ExpectMatchesFixture(name, Label(threads) + ".offline",
+                         OfflineReport(run, true, threads));
+    ExpectMatchesFixture(name, Label(threads) + ".streaming",
+                         run.streaming_report);
+  }
+}
+
+TEST(GoldenFixture, MidOutageCutoffReportsWithAndWithoutOutages) {
+  const std::string aware = "outage_cutoff_aware_valid_execution.txt";
+  const std::string strict = "outage_cutoff_strict_valid_execution.txt";
+  for (size_t threads : kThreadCounts) {
+    OutageRun run = RunMidOutageCutoff(threads);
+    ASSERT_EQ(run.outages.size(), 1u);
+    ExpectMatchesFixture(aware, Label(threads) + ".offline",
+                         OfflineReport(run, true, threads));
+    ExpectMatchesFixture(aware, Label(threads) + ".streaming",
+                         run.streaming_report);
+    ExpectMatchesFixture(strict, Label(threads) + ".offline",
+                         OfflineReport(run, false, threads));
+    ExpectMatchesFixture(strict, Label(threads) + ".streaming",
+                         StreamedReport(run.trace, run.rules, {}));
   }
 }
 
