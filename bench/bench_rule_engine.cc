@@ -27,23 +27,27 @@ rule::Event MakeNotifyEvent(int n, int v) {
   return e;
 }
 
-void BM_TemplateMatchHit(benchmark::State& state) {
-  auto tpl = *rule::ParseTemplate("N(salary1(n), b)");
+// One template compiled against its own slots, matched through a reused
+// frame as the shell does.
+void MatchOneTemplate(benchmark::State& state, const std::string& text) {
+  auto tpl = *rule::ParseTemplate(text);
+  rule::SlotMap slots;
+  tpl.Compile(&slots);
+  rule::BindingFrame frame(slots.size());
   rule::Event e = MakeNotifyEvent(17, 900);
   for (auto _ : state) {
-    rule::Binding binding;
-    benchmark::DoNotOptimize(tpl.Matches(e, &binding));
+    frame.Clear();
+    benchmark::DoNotOptimize(tpl.MatchesCompiled(e, &frame));
   }
+}
+
+void BM_TemplateMatchHit(benchmark::State& state) {
+  MatchOneTemplate(state, "N(salary1(n), b)");
 }
 BENCHMARK(BM_TemplateMatchHit);
 
 void BM_TemplateMatchMissOnKind(benchmark::State& state) {
-  auto tpl = *rule::ParseTemplate("WR(salary1(n), b)");
-  rule::Event e = MakeNotifyEvent(17, 900);
-  for (auto _ : state) {
-    rule::Binding binding;
-    benchmark::DoNotOptimize(tpl.Matches(e, &binding));
-  }
+  MatchOneTemplate(state, "WR(salary1(n), b)");
 }
 BENCHMARK(BM_TemplateMatchMissOnKind);
 
@@ -51,11 +55,15 @@ void BM_MatchAgainstRuleSet(benchmark::State& state) {
   // A shell's LHS scan over a growing installed-rule population.
   const int num_rules = static_cast<int>(state.range(0));
   std::vector<rule::Rule> rules;
+  size_t max_slots = 0;
   for (int i = 0; i < num_rules; ++i) {
     rules.push_back(*rule::ParseRule(
         "N(item" + std::to_string(i) + "(n), b) -> 5s WR(copy" +
         std::to_string(i) + "(n), b)"));
+    rules.back().Compile();
+    max_slots = std::max(max_slots, rules.back().slots.size());
   }
+  rule::BindingFrame frame(max_slots);
   rule::Event e;
   e.kind = rule::EventKind::kNotify;
   e.site = "A";
@@ -65,8 +73,8 @@ void BM_MatchAgainstRuleSet(benchmark::State& state) {
   for (auto _ : state) {
     int matches = 0;
     for (const auto& r : rules) {
-      rule::Binding binding;
-      if (r.lhs.Matches(e, &binding)) ++matches;
+      frame.Clear();
+      if (r.lhs.MatchesCompiled(e, &frame)) ++matches;
     }
     benchmark::DoNotOptimize(matches);
   }
@@ -76,8 +84,10 @@ BENCHMARK(BM_MatchAgainstRuleSet)->Arg(4)->Arg(32)->Arg(256);
 
 // A template population shaped like a large installed strategy set: one
 // N-template per distinct item base, plus ~1% periodic (wildcard-bucket)
-// templates that every P event must consider.
-std::vector<rule::EventTemplate> MakeDispatchTemplates(int num_rules) {
+// templates that every P event must consider. All compiled against
+// `slots`.
+std::vector<rule::EventTemplate> MakeDispatchTemplates(int num_rules,
+                                                       rule::SlotMap* slots) {
   std::vector<rule::EventTemplate> templates;
   templates.reserve(num_rules);
   for (int i = 0; i < num_rules; ++i) {
@@ -88,23 +98,26 @@ std::vector<rule::EventTemplate> MakeDispatchTemplates(int num_rules) {
       templates.push_back(*rule::ParseTemplate(
           "N(item" + std::to_string(i) + "(n), b)"));
     }
+    templates.back().Compile(slots);
   }
   return templates;
 }
 
-// The old Shell::MatchEvent inner loop: every installed rule is visited for
-// every event, O(rules) per event.
+// No index: every installed rule is visited for every event, O(rules) per
+// event.
 void BM_LinearDispatch(benchmark::State& state) {
   const int num_rules = static_cast<int>(state.range(0));
-  auto templates = MakeDispatchTemplates(num_rules);
+  rule::SlotMap slots;
+  auto templates = MakeDispatchTemplates(num_rules, &slots);
+  rule::BindingFrame frame(slots.size());
   rule::Event e = MakeNotifyEvent(3, 42);
   e.item = rule::ItemId{"item" + std::to_string(num_rules / 2),
                         {Value::Int(3)}};
   for (auto _ : state) {
     int matches = 0;
     for (const auto& tpl : templates) {
-      rule::Binding binding;
-      if (tpl.Matches(e, &binding)) ++matches;
+      frame.Clear();
+      if (tpl.MatchesCompiled(e, &frame)) ++matches;
     }
     benchmark::DoNotOptimize(matches);
   }
@@ -112,44 +125,16 @@ void BM_LinearDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_LinearDispatch)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
 
-// The new path: a (kind, item-base) RuleIndex lookup prunes the candidate
-// set to the one bucket the event can hit, O(candidates) per event.
-void BM_IndexedDispatch(benchmark::State& state) {
-  const int num_rules = static_cast<int>(state.range(0));
-  auto templates = MakeDispatchTemplates(num_rules);
-  rule::RuleIndex index;
-  for (size_t i = 0; i < templates.size(); ++i) index.Add(templates[i], i);
-  rule::Event e = MakeNotifyEvent(3, 42);
-  e.item = rule::ItemId{"item" + std::to_string(num_rules / 2),
-                        {Value::Int(3)}};
-  std::vector<size_t> candidates;
-  for (auto _ : state) {
-    int matches = 0;
-    index.Lookup(e, &candidates);
-    for (size_t pos : candidates) {
-      rule::Binding binding;
-      if (templates[pos].Matches(e, &binding)) ++matches;
-    }
-    benchmark::DoNotOptimize(matches);
-  }
-  state.SetItemsProcessed(state.iterations());
-  state.counters["candidates/event"] = index.stats().CandidatesPerEvent();
-}
-BENCHMARK(BM_IndexedDispatch)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
-
-// The interned path: the same RuleIndex pruning, but candidates are matched
-// through compiled slots against one reusable BindingFrame — no std::map
-// construction, no node allocation per candidate. This is what
-// Shell::MatchEvent runs.
+// What Shell::MatchEvent runs: a (kind, item-base) RuleIndex lookup prunes
+// the candidate set to the one bucket the event can hit, O(candidates) per
+// event, and candidates are matched through compiled slots against one
+// reusable BindingFrame.
 void BM_CompiledDispatch(benchmark::State& state) {
   const int num_rules = static_cast<int>(state.range(0));
-  auto templates = MakeDispatchTemplates(num_rules);
   rule::SlotMap slots;
+  auto templates = MakeDispatchTemplates(num_rules, &slots);
   rule::RuleIndex index;
-  for (size_t i = 0; i < templates.size(); ++i) {
-    templates[i].Compile(&slots);
-    index.Add(templates[i], i);
-  }
+  for (size_t i = 0; i < templates.size(); ++i) index.Add(templates[i], i);
   rule::BindingFrame frame(slots.size());
   rule::Event e = MakeNotifyEvent(3, 42);
   e.item = rule::ItemId{"item" + std::to_string(num_rules / 2),
@@ -174,9 +159,11 @@ BENCHMARK(BM_CompiledDispatch)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
 // wildcard bucket (all P templates).
 void BM_IndexedDispatchWildcardEvent(benchmark::State& state) {
   const int num_rules = static_cast<int>(state.range(0));
-  auto templates = MakeDispatchTemplates(num_rules);
+  rule::SlotMap slots;
+  auto templates = MakeDispatchTemplates(num_rules, &slots);
   rule::RuleIndex index;
   for (size_t i = 0; i < templates.size(); ++i) index.Add(templates[i], i);
+  rule::BindingFrame frame(slots.size());
   rule::Event e;
   e.kind = rule::EventKind::kPeriodic;
   e.values = {Value::Int(10000)};
@@ -185,8 +172,8 @@ void BM_IndexedDispatchWildcardEvent(benchmark::State& state) {
     int matches = 0;
     index.Lookup(e, &candidates);
     for (size_t pos : candidates) {
-      rule::Binding binding;
-      if (templates[pos].Matches(e, &binding)) ++matches;
+      frame.Clear();
+      if (templates[pos].MatchesCompiled(e, &frame)) ++matches;
     }
     benchmark::DoNotOptimize(matches);
   }

@@ -96,22 +96,6 @@ std::string Event::ToString() const {
                    EventKindName(kind), payload.c_str());
 }
 
-bool EventTemplate::Matches(const Event& event, Binding* binding) const {
-  if (kind != event.kind) return false;
-  if (kind == EventKind::kFalse) return false;  // F matches nothing
-  if (!site.empty() && site != event.site) return false;
-  Binding scratch = *binding;
-  if (EventKindHasItem(kind)) {
-    if (!item.Unify(event.item, &scratch)) return false;
-  }
-  if (values.size() != event.values.size()) return false;
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (!values[i].Unify(event.values[i], &scratch)) return false;
-  }
-  *binding = std::move(scratch);
-  return true;
-}
-
 void EventTemplate::Compile(SlotMap* slots) {
   if (EventKindHasItem(kind)) item.Compile(slots);
   for (Term& t : values) t.Compile(slots);

@@ -98,17 +98,16 @@ struct EventTemplate {
   std::vector<Term> values;   // length EventPayloadArity(kind)
   std::string site;           // optional "@site" pin; "" = resolve from item
 
-  // Unifies against a concrete event. On success extends `binding` with the
-  // matching interpretation and returns true; on failure leaves it alone.
-  bool Matches(const Event& event, Binding* binding) const;
-
   // Resolves variable terms to slots and interns the item base. Called by
   // Rule::Compile; precondition for the *Compiled methods below.
   void Compile(SlotMap* slots);
 
-  // Slot-indexed Matches against a reusable frame: no allocation on the
-  // match path. Accept/reject decisions are identical to Matches; on
-  // failure, bindings made during the attempt are rolled back.
+  // Unifies against a concrete event through a reusable frame, with no
+  // allocation on the match path: kinds must agree (F matches nothing), a
+  // "@site" pin must equal the event's site, and the item and payload
+  // terms unify against the event's item and values. On success the
+  // frame holds the matching interpretation; on failure, bindings made
+  // during the attempt are rolled back.
   bool MatchesCompiled(const Event& event, BindingFrame* frame) const;
 
   // Builds a concrete event from this template under a slot frame

@@ -169,23 +169,7 @@ struct FrameEnv {
     return frame.Get(static_cast<uint16_t>(s));
   }
   Result<Value> Item(const ItemRef& ref) const {
-    // Ground the ref without touching its (possibly shared) terms'
-    // compiled state: resolve variables by name through the slot map.
-    ItemId id;
-    id.base = ref.base;
-    id.args.reserve(ref.args.size());
-    for (const Term& t : ref.args) {
-      if (t.is_literal()) {
-        id.args.push_back(t.literal());
-        continue;
-      }
-      if (t.is_wildcard()) {
-        return Status::FailedPrecondition(
-            "wildcard cannot appear in an instantiated position");
-      }
-      HCM_ASSIGN_OR_RETURN(Value v, Var(t.var_name()));
-      id.args.push_back(std::move(v));
-    }
+    HCM_ASSIGN_OR_RETURN(ItemId id, ref.GroundByName(frame, slots));
     return reader(id);
   }
 };

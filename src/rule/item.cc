@@ -204,6 +204,29 @@ Result<ItemId> ItemRef::GroundCompiled(const BindingFrame& frame) const {
   return out;
 }
 
+Result<ItemId> ItemRef::GroundByName(const BindingFrame& frame,
+                                     const SlotMap& slots) const {
+  ItemId out;
+  out.base = base;
+  out.args.reserve(args.size());
+  for (const Term& t : args) {
+    if (t.is_literal()) {
+      out.args.push_back(t.literal());
+      continue;
+    }
+    if (t.is_wildcard()) {
+      return Status::FailedPrecondition(
+          "wildcard cannot appear in an instantiated position");
+    }
+    int s = slots.Find(t.var_name());
+    if (s < 0 || !frame.IsBound(static_cast<uint16_t>(s))) {
+      return Status::FailedPrecondition("unbound variable: " + t.var_name());
+    }
+    out.args.push_back(frame.Get(static_cast<uint16_t>(s)));
+  }
+  return out;
+}
+
 Result<ItemId> ItemRef::Ground(const Binding& binding) const {
   ItemId out;
   out.base = base;

@@ -113,6 +113,12 @@ struct ItemRef {
   // Slot-indexed Ground.
   Result<ItemId> GroundCompiled(const BindingFrame& frame) const;
 
+  // Ground through `frame` without this ref's compiled slots: variables
+  // resolve by name through `slots`. For refs inside condition Expr trees,
+  // which are shared between rule copies and never compiled.
+  Result<ItemId> GroundByName(const BindingFrame& frame,
+                              const SlotMap& slots) const;
+
   // True when all args are literals.
   bool is_ground() const;
 

@@ -51,7 +51,7 @@ struct RuleIndexStats {
 //
 // A template `N(salary1(n), b)` can only match events of kind N whose item
 // base is `salary1` — template/event unification requires kind equality and
-// item-base equality (see EventTemplate::Matches / ItemRef::Unify). The
+// item-base equality (see EventTemplate::MatchesCompiled). The
 // index exploits this: templates are bucketed by (EventKind, interned item
 // base), and an event consults exactly one exact bucket plus the kind's
 // wildcard bucket instead of scanning every installed rule. Templates whose

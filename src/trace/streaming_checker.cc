@@ -5,21 +5,19 @@
 #include <limits>
 #include <optional>
 #include <set>
-#include <tuple>
-#include <unordered_map>
 #include <utility>
 
 #include "src/common/string_util.h"
-#include "src/rule/rule_index.h"
 #include "src/trace/check_window.h"
 
 namespace hcm::trace {
 
 namespace {
 
-using internal::BaseSiteOf;
+using internal::ChannelPair;
+using internal::Obligation;
+using internal::PropertyCore;
 using internal::Sink;
-using internal::TemplateMatchesIgnoringSite;
 
 constexpr TimePoint kFarFuture =
     TimePoint::FromMillis(std::numeric_limits<int64_t>::max() / 4);
@@ -36,12 +34,6 @@ bool ChangesState(rule::EventKind kind) {
     default:
       return false;
   }
-}
-
-bool IsWriteShaped(rule::EventKind k) {
-  return k == rule::EventKind::kWriteSpont || k == rule::EventKind::kWrite ||
-         k == rule::EventKind::kWriteRequest ||
-         k == rule::EventKind::kInsert || k == rule::EventKind::kDelete;
 }
 
 Duration AbsDuration(Duration d) {
@@ -70,22 +62,16 @@ struct VKeyLess {
   }
 };
 
-struct FiredKeyHash {
-  size_t operator()(const std::tuple<int64_t, int64_t, int>& k) const {
-    size_t h = std::hash<int64_t>()(std::get<0>(k));
-    h = h * 1000003 + std::hash<int64_t>()(std::get<1>(k));
-    return h * 1000003 + std::hash<int>()(std::get<2>(k));
-  }
-};
-
 }  // namespace
 
+// The streaming driver of the property core (check_window.h). Impl is also
+// the core's view: triggers come from the live ring, state from the live
+// item store.
 struct StreamingChecker::Impl {
   // ---- configuration ----
-  std::vector<rule::Rule> rules;
   std::vector<spec::Guarantee> guarantees;
   StreamingCheckOptions options;
-  std::vector<SiteOutage> outages;
+  PropertyCore core;
   Duration retention;  // max rule delta + 1ms: ring / store / pair horizon
   Duration stride;     // maintenance cadence
 
@@ -125,50 +111,25 @@ struct StreamingChecker::Impl {
   std::vector<ItemState> items;
   uint64_t batch_gen = 0;
 
-  // ---- provenance (properties 4/5) ----
-  std::unordered_map<int64_t, const rule::Rule*> rules_by_id;
-  std::unordered_map<const rule::Rule*, std::vector<rule::EventTemplate>>
-      cleared_rhs;
-  rule::RuleIndex rule_index;
+  // ---- provenance / obligation scratch ----
+  rule::BindingFrame frame;
   std::vector<size_t> candidates_scratch;
 
   // ---- obligations (property 6) ----
-  struct Obligation {
-    uint64_t ord;      // trace ordinal of the trigger event
-    uint32_t cand;     // candidate position in the trigger's rule scan
-    int64_t event_id;
-    TimePoint event_time;
-    std::string event_site;
-    const rule::Rule* rule;
-    rule::Binding binding;
+  struct OpenObligation {
+    Obligation ob;
+    std::string trigger_site;
+    rule::BindingFrame lhs_match;  // sized to the rule's slots
   };
   uint64_t next_oblig = 0;
-  std::map<uint64_t, Obligation> open;            // by creation seq
+  std::map<uint64_t, OpenObligation> open;         // by creation seq
   std::multimap<TimePoint, uint64_t> by_deadline;  // creation-time deadline
-  std::unordered_map<std::tuple<int64_t, int64_t, int>,
-                     std::pair<TimePoint, int64_t>, FiredKeyHash>
-      fired;  // (trigger id, rule id, step) -> (fire time, fire id)
+  internal::FiredIndex fired;
   size_t fired_sweep_at = 4096;
-  // Incremental site learning for outage coverage: first-wins, write-shaped
-  // events take priority — equivalent to the offline two-pass emplace.
-  std::unordered_map<std::string, std::string> write_site_of_base;
-  std::unordered_map<std::string, std::string> any_site_of_base;
 
   // ---- property 7 ----
-  struct P7Pair {
-    TimePoint tt, et;
-    int64_t tid, eid;
-    uint64_t seq;
-  };
-  struct P7Less {
-    bool operator()(const P7Pair& a, const P7Pair& b) const {
-      if (a.tt != b.tt) return a.tt < b.tt;
-      if (a.et != b.et) return a.et < b.et;
-      return a.seq < b.seq;
-    }
-  };
   struct P7Channel {
-    std::set<P7Pair, P7Less> pairs;
+    std::set<ChannelPair, internal::ChannelPairLess> pairs;
     uint64_t next_seq = 0;
     std::vector<ExecutionViolation> kept;
     size_t found = 0;
@@ -212,33 +173,29 @@ struct StreamingChecker::Impl {
   explicit Impl(std::vector<rule::Rule> rules_in,
                 std::vector<spec::Guarantee> guarantees_in,
                 StreamingCheckOptions options_in)
-      : rules(std::move(rules_in)),
-        guarantees(std::move(guarantees_in)),
+      : guarantees(std::move(guarantees_in)),
         options(std::move(options_in)),
-        outages(options.valid.outages),
+        core(std::move(rules_in), options.valid.outages),
+        frame(core.NewFrame()),
         sink_p1(options.valid.max_violations),
         sink_p2(options.valid.max_violations),
         sink_p45(options.valid.max_violations),
         sink_p6(options.valid.max_violations),
         sink_p7(options.valid.max_violations) {
     Duration max_delta = Duration::Zero();
-    for (const auto& r : rules) max_delta = std::max(max_delta, r.delta);
+    for (const auto& r : core.rules()) {
+      max_delta = std::max(max_delta, r.delta);
+    }
     retention = max_delta + Duration::Millis(1);
     stride = std::max(Duration::Seconds(1),
                       std::min(retention, Duration::Seconds(60)));
-    rules_by_id.reserve(rules.size());
-    for (const auto& r : rules) rules_by_id[r.id] = &r;
-    for (size_t pos = 0; pos < rules.size(); ++pos) {
-      rule_index.Add(rules[pos].lhs, pos);
-    }
-    for (const auto& r : rules) {
-      std::vector<rule::EventTemplate> cleared;
-      cleared.reserve(r.rhs.size());
-      for (const auto& s : r.rhs) {
-        cleared.push_back(s.event);
-        cleared.back().site.clear();
-      }
-      cleared_rhs.emplace(&r, std::move(cleared));
+    // Live notification: every valid-execution violation except property
+    // 7's, which CheckP7Adjacent reports as it finds them.
+    for (Sink* sink : {&sink_p1, &sink_p2, &sink_p45, &sink_p6}) {
+      sink->set_listener([this](const ExecutionViolation& v) {
+        ++stats.live_violations;
+        if (options.on_violation) options.on_violation(v);
+      });
     }
     SetUpGuarantees();
   }
@@ -401,21 +358,9 @@ struct StreamingChecker::Impl {
     return std::prev(it)->value;
   }
 
-  rule::DataReader ReaderAt(TimePoint t) const {
-    return [this, t](const rule::ItemId& item) -> Result<Value> {
-      auto v = StoreValueAt(interner.Find(item), t);
-      return v.has_value() ? *v : Value::Null();
-    };
-  }
+  // ---- the core's view ----
 
-  rule::DataReader ReaderBefore(TimePoint t) const {
-    return [this, t](const rule::ItemId& item) -> Result<Value> {
-      auto v = StoreValueBefore(interner.Find(item), t);
-      return v.has_value() ? *v : Value::Null();
-    };
-  }
-
-  const rule::Event* EventInRing(int64_t id) const {
+  const rule::Event* Trigger(int64_t id) const {
     if (id < ring_base ||
         id >= ring_base + static_cast<int64_t>(ring.size())) {
       return nullptr;
@@ -423,19 +368,24 @@ struct StreamingChecker::Impl {
     return &ring[static_cast<size_t>(id - ring_base)];
   }
 
-  // --------------------------------------------------------- live reporting
+  std::optional<Value> ValueAt(const rule::ItemId& item, TimePoint t) const {
+    return StoreValueAt(interner.Find(item), t);
+  }
 
-  void Report(Sink* sink, uint64_t ord, std::optional<uint32_t> seq,
-              int property, std::vector<int64_t> ids, std::string message) {
-    ++stats.live_violations;
-    if (options.on_violation) {
-      options.on_violation(ExecutionViolation{property, ids, message});
-    }
-    if (seq.has_value()) {
-      sink->AddSeq(ord, *seq, property, std::move(ids), std::move(message));
-    } else {
-      sink->Add(ord, property, std::move(ids), std::move(message));
-    }
+  std::optional<Value> ValueBefore(const rule::ItemId& item,
+                                   TimePoint t) const {
+    return StoreValueBefore(interner.Find(item), t);
+  }
+
+  void ChangePoints(const rule::ItemId& item, TimePoint lo, TimePoint hi,
+                    std::vector<TimePoint>* out) const {
+    uint32_t id = interner.Find(item);
+    if (id == ItemInterner::kNoId || id >= items.size()) return;
+    const auto& segs = items[id].segs;
+    auto it = std::upper_bound(
+        segs.begin(), segs.end(), lo,
+        [](TimePoint t, const Segment& seg) { return t < seg.from; });
+    for (; it != segs.end() && it->from <= hi; ++it) out->push_back(it->from);
   }
 
   // ------------------------------------------------------- event processing
@@ -451,20 +401,14 @@ struct StreamingChecker::Impl {
       rule::Event e = std::move(pending.front());
       pending.pop_front();
       // Pass A, step 1: property 1 against the previous absorbed event.
-      if (have_prev && e.time < prev_time) {
-        Report(&sink_p1, ring_ord + ring.size(), std::nullopt, 1,
-               {prev_id, e.id}, "events out of time order");
+      if (have_prev) {
+        PropertyCore::CheckTimeOrder(prev_time, prev_id, e,
+                                     ring_ord + ring.size(), &sink_p1);
       }
       have_prev = true;
       prev_time = e.time;
       prev_id = e.id;
-      // Site learning (outage coverage), first-wins per map.
-      if (IsWriteShaped(e.kind)) {
-        write_site_of_base.emplace(e.item.base, BaseSiteOf(e.site));
-      }
-      if (!e.item.base.empty()) {
-        any_site_of_base.emplace(e.item.base, BaseSiteOf(e.site));
-      }
+      core.LearnSite(e);
       // State change + same-instant write chain.
       if (ChangesState(e.kind)) {
         uint32_t id = interner.Intern(e.item);
@@ -510,260 +454,51 @@ struct StreamingChecker::Impl {
 
   void CheckEvent(const rule::Event& e, uint64_t ord) {
     if (e.kind == rule::EventKind::kWriteSpont) CheckWsOldValue(e, ord);
-    CheckProvenance(e, ord);
+    core.CheckProvenance(*this, e, ord, &frame, &sink_p45);
     OpenObligations(e, ord);
     if (!e.spontaneous()) RecordP7Pair(e);
   }
 
-  // Property 2 (+3): Ws old value vs prior state / same-instant chain.
+  // Properties 2+3. Same-instant writes of the current batch are in the
+  // item's chain (a batch never splits an instant).
   void CheckWsOldValue(const rule::Event& e, uint64_t ord) {
-    auto before = StoreValueBefore(e.item_iid, e.time);
-    Value expected = before.has_value() ? *before : Value::Null();
-    if (e.old_value() == expected || e.old_value().is_null()) return;
-    ++sink_p2.chain_lookups;
-    bool chained = false;
-    const ItemState& st = items[e.item_iid];
-    if (st.chain_gen == batch_gen) {
-      for (const ChainEntry& c : st.chain) {
-        if (c.time != e.time) continue;
-        ++sink_p2.chain_events_scanned;
-        if (c.id >= e.id) continue;
-        if (c.written == e.old_value()) {
-          chained = true;
-          break;
-        }
-      }
-    }
-    if (!chained) {
-      Report(&sink_p2, ord, std::nullopt, 2, {e.id},
-             StrFormat("Ws old value %s != prior state %s",
-                       e.old_value().ToString().c_str(),
-                       expected.ToString().c_str()));
-    }
+    PropertyCore::CheckWsOldValue(
+        e, ord, StoreValueBefore(e.item_iid, e.time), &sink_p2, [&] {
+          const ItemState& st = items[e.item_iid];
+          if (st.chain_gen != batch_gen) return false;
+          for (const ChainEntry& c : st.chain) {
+            if (c.time != e.time) continue;
+            ++sink_p2.chain_events_scanned;
+            if (c.id >= e.id) continue;
+            if (c.written == e.old_value()) return true;
+          }
+          return false;
+        });
   }
 
-  // Properties 4+5: replicated from the offline ProvenanceForEvent, with
-  // trigger lookup against the live ring and state reads against the live
-  // store (both exact within one rule window of the watermark).
-  void CheckProvenance(const rule::Event& e, uint64_t ord) {
-    if (e.spontaneous()) {
-      if (e.trigger_event_id >= 0) {
-        Report(&sink_p45, ord, std::nullopt, 4, {e.id},
-               "spontaneous event carries a trigger reference");
-      }
-      return;
-    }
-    auto rule_it = rules_by_id.find(e.rule_id);
-    if (rule_it == rules_by_id.end()) {
-      Report(&sink_p45, ord, std::nullopt, 5, {e.id},
-             StrFormat("generated event names unknown rule %lld",
-                       static_cast<long long>(e.rule_id)));
-      return;
-    }
-    const rule::Rule& r = *rule_it->second;
-    const rule::Event* trig = EventInRing(e.trigger_event_id);
-    if (trig == nullptr) {
-      Report(&sink_p45, ord, std::nullopt, 5, {e.id},
-             "generated event names unknown trigger");
-      return;
-    }
-    const rule::Event& trigger = *trig;
-    rule::Binding binding;
-    if (!r.lhs.Matches(trigger, &binding)) {
-      Report(&sink_p45, ord, std::nullopt, 5, {e.id, trigger.id},
-             "trigger does not match the rule's LHS template");
-      return;
-    }
-    binding["now"] = Value::Int(e.time.millis());
-    if (r.lhs_condition != nullptr) {
-      auto ok = r.lhs_condition->EvalBool(binding, ReaderAt(trigger.time));
-      if (!ok.ok() || !*ok) {
-        Report(&sink_p45, ord, std::nullopt, 5, {e.id, trigger.id},
-               "rule LHS condition not satisfied at trigger time");
-      }
-    }
-    if (e.rhs_step < 0 || e.rhs_step >= static_cast<int>(r.rhs.size())) {
-      Report(&sink_p45, ord, std::nullopt, 5, {e.id},
-             "generated event has no valid RHS step");
-      return;
-    }
-    const rule::RhsStep& step = r.rhs[static_cast<size_t>(e.rhs_step)];
-    rule::Binding extended = binding;
-    if (!TemplateMatchesIgnoringSite(
-            cleared_rhs.at(&r)[static_cast<size_t>(e.rhs_step)], e,
-            &extended)) {
-      Report(&sink_p45, ord, std::nullopt, 5, {e.id, trigger.id},
-             "generated event does not match its RHS template");
-      return;
-    }
-    if (step.condition != nullptr) {
-      auto ok = step.condition->EvalBool(extended, ReaderBefore(e.time));
-      if (!ok.ok() || !*ok) {
-        Report(&sink_p45, ord, std::nullopt, 5, {e.id},
-               "rule RHS condition not satisfied before the event");
-      }
-    }
-    if (e.time < trigger.time || trigger.time + r.delta < e.time) {
-      Report(&sink_p45, ord, std::nullopt, 5, {e.id, trigger.id},
-             StrFormat("event outside rule window (delta %s)",
-                       r.delta.ToString().c_str()));
-    }
-  }
-
-  // Property 6, creation side: the offline candidate scan, but instead of
-  // walking steps immediately (the full trace is not here yet), prohibition
-  // hits report now and real obligations open until the watermark passes
-  // their deadline. The explicit sink sequence (candidate position, step
-  // slot) reproduces the offline per-event emission order no matter when
-  // each obligation resolves.
-  static uint32_t P6Seq(uint32_t cand, int slot) {
-    return (cand << 16) | static_cast<uint32_t>(slot);
-  }
-
+  // Property 6, creation side. The full trace is not here yet, so real
+  // obligations stay open until the watermark passes their deadline; the
+  // core's emission sequence (candidate position, step slot) reproduces
+  // the offline per-event order no matter when each one resolves.
   void OpenObligations(const rule::Event& e, uint64_t ord) {
-    if (!rule_index.MayMatchKind(e.kind)) {
-      sink_p6.obligation_scans_avoided += rules.size();
-      return;
-    }
-    size_t n = rule_index.LookupQuiet(e, &candidates_scratch);
-    sink_p6.obligation_scans_avoided += rules.size() - n;
-    sink_p6.obligation_candidates += n;
-    for (size_t c = 0; c < n; ++c) {
-      const rule::Rule& r = rules[candidates_scratch[c]];
-      rule::Binding binding;
-      if (!r.lhs.Matches(e, &binding)) continue;
-      if (r.lhs_condition != nullptr) {
-        auto ok = r.lhs_condition->EvalBool(binding, ReaderAt(e.time));
-        if (!ok.ok() || !*ok) continue;
-      }
-      if (r.forbids()) {
-        Report(&sink_p6, ord, P6Seq(static_cast<uint32_t>(c), 0), 6, {e.id},
-               "event matches a prohibition rule (RHS is F): " + r.ToString());
-        continue;
-      }
-      Obligation ob;
-      ob.ord = ord;
-      ob.cand = static_cast<uint32_t>(c);
-      ob.event_id = e.id;
-      ob.event_time = e.time;
-      ob.event_site = e.site;
-      ob.rule = &r;
-      ob.binding = std::move(binding);
-      TimePoint deadline = ExtendDeadline(ob, e.time + r.delta);
-      uint64_t key = next_oblig++;
-      by_deadline.emplace(deadline, key);
-      open.emplace(key, std::move(ob));
-    }
+    core.ScanObligations(
+        *this, e, ord, &frame, &candidates_scratch, &sink_p6,
+        [&](const Obligation& ob, const rule::BindingFrame& lhs_match) {
+          OpenObligation open_ob{ob, e.site,
+                                 rule::BindingFrame(ob.rule->slots.size())};
+          for (uint16_t slot : lhs_match.bound_slots()) {
+            open_ob.lhs_match.Set(slot, lhs_match.Get(slot));
+          }
+          TimePoint deadline = core.Deadline(ob, e.site);
+          uint64_t key = next_oblig++;
+          by_deadline.emplace(deadline, key);
+          open.emplace(key, std::move(open_ob));
+        });
   }
 
-  std::string SiteOfBase(const std::string& base) const {
-    auto it = write_site_of_base.find(base);
-    if (it != write_site_of_base.end()) return it->second;
-    it = any_site_of_base.find(base);
-    if (it != any_site_of_base.end()) return it->second;
-    return std::string();
-  }
-
-  bool OutageCoversRule(const std::string& outage_site,
-                        const Obligation& ob) const {
-    const std::string down = BaseSiteOf(outage_site);
-    if (BaseSiteOf(ob.event_site) == down) return true;
-    const rule::Rule& r = *ob.rule;
-    if (!r.lhs.site.empty() && BaseSiteOf(r.lhs.site) == down) return true;
-    bool unknown = false;
-    for (const auto& step : r.rhs) {
-      std::string site = step.event.site;
-      if (site.empty()) site = SiteOfBase(step.event.item.base);
-      if (site.empty()) {
-        unknown = true;
-      } else if (BaseSiteOf(site) == down) {
-        return true;
-      }
-    }
-    return unknown;
-  }
-
-  TimePoint ExtendDeadline(const Obligation& ob, TimePoint deadline) const {
-    if (outages.empty()) return deadline;
-    bool extended = true;
-    while (extended) {
-      extended = false;
-      for (const auto& w : outages) {
-        if (!(w.from <= deadline && ob.event_time < w.to)) continue;
-        if (!OutageCoversRule(w.site, ob)) continue;
-        TimePoint candidate = w.to + ob.rule->delta;
-        if (deadline < candidate) {
-          deadline = candidate;
-          extended = true;
-        }
-      }
-    }
-    return deadline;
-  }
-
-  bool ConditionFalseSomewhere(const rule::Expr& condition,
-                               const rule::Binding& binding, TimePoint lo,
-                               TimePoint hi) {
-    std::vector<rule::ItemRef> refs;
-    condition.Collect(&refs, nullptr);
-    std::vector<TimePoint> cand = {lo, hi};
-    for (const auto& ref : refs) {
-      auto grounded = ref.Ground(binding);
-      if (!grounded.ok()) continue;
-      uint32_t id = interner.Find(*grounded);
-      if (id == ItemInterner::kNoId || id >= items.size()) continue;
-      const auto& segs = items[id].segs;
-      auto b = std::upper_bound(
-          segs.begin(), segs.end(), lo,
-          [](TimePoint t, const Segment& s) { return t < s.from; });
-      for (auto it = b; it != segs.end() && it->from <= hi; ++it) {
-        cand.push_back(it->from);
-      }
-    }
-    sink_p6.condition_instants += cand.size();
-    for (TimePoint t : cand) {
-      auto ok = condition.EvalBool(binding, ReaderBefore(t));
-      if (ok.ok() && !*ok) return true;
-      auto ok2 = condition.EvalBool(binding, ReaderAt(t));
-      if (ok2.ok() && !*ok2) return true;
-    }
-    return false;
-  }
-
-  // Property 6, resolution side: identical step walk to the offline
-  // checker, run once the watermark proves all in-window fires arrived.
-  void ResolveObligation(const Obligation& ob, TimePoint deadline) {
-    ++sink_p6.obligations_checked;
-    const rule::Rule& r = *ob.rule;
-    TimePoint prev = ob.event_time;
-    for (int step = 0; step < static_cast<int>(r.rhs.size()); ++step) {
-      auto it = fired.find({ob.event_id, r.id, step});
-      if (it != fired.end()) {
-        const auto& [gt, gid] = it->second;
-        if (gt < prev) {
-          Report(&sink_p6, ob.ord, P6Seq(ob.cand, step + 1), 6,
-                 {ob.event_id, gid}, "RHS steps fired out of sequence");
-        }
-        prev = gt;
-        continue;
-      }
-      const rule::RhsStep& rhs = r.rhs[static_cast<size_t>(step)];
-      if (rhs.condition == nullptr) {
-        Report(&sink_p6, ob.ord, P6Seq(ob.cand, step + 1), 6, {ob.event_id},
-               StrFormat("unconditional RHS step %d of rule '%s' never "
-                         "fired within %s",
-                         step, r.ToString().c_str(),
-                         r.delta.ToString().c_str()));
-        continue;
-      }
-      if (!ConditionFalseSomewhere(*rhs.condition, ob.binding, prev,
-                                   deadline)) {
-        Report(&sink_p6, ob.ord, P6Seq(ob.cand, step + 1), 6, {ob.event_id},
-               StrFormat("RHS step %d of rule '%s' did not fire although "
-                         "its condition held throughout the window",
-                         step, r.ToString().c_str()));
-      }
-    }
+  void ResolveObligation(const OpenObligation& o, TimePoint deadline) {
+    core.ResolveObligation(*this, fired, o.ob, o.lhs_match, deadline,
+                           &sink_p6);
     ++stats.obligations_resolved;
   }
 
@@ -778,14 +513,13 @@ struct StreamingChecker::Impl {
       by_deadline.erase(it);
       auto oit = open.find(key);
       if (oit == open.end()) continue;
-      Obligation& ob = oit->second;
-      TimePoint deadline =
-          ExtendDeadline(ob, ob.event_time + ob.rule->delta);
+      const OpenObligation& o = oit->second;
+      TimePoint deadline = core.Deadline(o.ob, o.trigger_site);
       if (deadline >= w) {
         by_deadline.emplace(deadline, key);
         continue;
       }
-      ResolveObligation(ob, deadline);
+      ResolveObligation(o, deadline);
       open.erase(oit);
     }
   }
@@ -793,27 +527,24 @@ struct StreamingChecker::Impl {
   // ------------------------------------------------------------- property 7
 
   void RecordP7Pair(const rule::Event& e) {
-    const rule::Event* trig = EventInRing(e.trigger_event_id);
+    const rule::Event* trig = Trigger(e.trigger_event_id);
     if (trig == nullptr) return;
     P7Channel& ch = channels[{trig->site, e.site}];
-    ch.pairs.insert(P7Pair{trig->time, e.time, trig->id, e.id, ch.next_seq++});
+    ch.pairs.insert(
+        ChannelPair{trig->time, e.time, trig->id, e.id, ch.next_seq++});
     ++stats.pairs_live;
   }
 
   void CheckP7Adjacent(const std::pair<std::string, std::string>& key,
-                       P7Channel* ch, const P7Pair& prev, const P7Pair& cur) {
-    if (prev.tt < cur.tt && cur.et < prev.et) {
-      ExecutionViolation v{
-          7,
-          {prev.eid, cur.eid},
-          StrFormat("out-of-order processing on channel %s -> %s",
-                    key.first.c_str(), key.second.c_str())};
-      ++ch->found;
-      ++stats.live_violations;
-      if (options.on_violation) options.on_violation(v);
-      if (ch->kept.size() < options.valid.max_violations) {
-        ch->kept.push_back(std::move(v));
-      }
+                       P7Channel* ch, const ChannelPair& prev,
+                       const ChannelPair& cur) {
+    auto v = PropertyCore::CheckInOrder(key.first, key.second, prev, cur);
+    if (!v.has_value()) return;
+    ++ch->found;
+    ++stats.live_violations;
+    if (options.on_violation) options.on_violation(*v);
+    if (ch->kept.size() < options.valid.max_violations) {
+      ch->kept.push_back(std::move(*v));
     }
   }
 
@@ -826,7 +557,7 @@ struct StreamingChecker::Impl {
       while (ch.pairs.size() >= 2) {
         auto first = ch.pairs.begin();
         auto second = std::next(first);
-        if (!(second->tt < bound)) break;
+        if (!(second->trigger_time < bound)) break;
         CheckP7Adjacent(key, &ch, *first, *second);
         ch.pairs.erase(first);
         --stats.pairs_live;
@@ -838,7 +569,8 @@ struct StreamingChecker::Impl {
   // --------------------------------------------------------- state retiring
 
   void RetireValidState(TimePoint w) {
-    TimePoint floor = open.empty() ? kFarFuture : open.begin()->second.event_time;
+    TimePoint floor =
+        open.empty() ? kFarFuture : open.begin()->second.ob.trigger_time;
     TimePoint cut = std::min(w - retention, floor);
     // Event ring: property 5/7 trigger lookups reach at most `retention`
     // back from any future event's time (>= w).
@@ -863,7 +595,7 @@ struct StreamingChecker::Impl {
     // obligation, and fires at or after their trigger's time >= floor.
     if (fired.size() > fired_sweep_at) {
       for (auto it = fired.begin(); it != fired.end();) {
-        if (it->second.first < cut) {
+        if (it->second.time < cut) {
           it = fired.erase(it);
         } else {
           ++it;
@@ -1026,12 +758,9 @@ struct StreamingChecker::Impl {
       by_deadline.erase(it);
       auto oit = open.find(key);
       if (oit == open.end()) continue;
-      Obligation& ob = oit->second;
-      TimePoint deadline = ExtendDeadline(ob, ob.event_time + ob.rule->delta);
-      if (!(options.valid.skip_obligations_past_horizon &&
-            horizon < deadline)) {
-        ResolveObligation(ob, deadline);
-      }
+      const OpenObligation& o = oit->second;
+      TimePoint deadline = core.Deadline(o.ob, o.trigger_site);
+      if (!(horizon < deadline)) ResolveObligation(o, deadline);
       open.erase(oit);
     }
     RetireP7(kFarFuture);
@@ -1133,7 +862,7 @@ StreamingChecker::StreamingChecker(std::vector<rule::Rule> rules,
 StreamingChecker::~StreamingChecker() = default;
 
 void StreamingChecker::NoteOutage(const SiteOutage& outage) {
-  impl_->outages.push_back(outage);
+  impl_->core.AddOutage(outage);
 }
 
 void StreamingChecker::OnInitialValue(const rule::ItemId& item,

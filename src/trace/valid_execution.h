@@ -56,9 +56,6 @@ struct SiteOutage {
 };
 
 struct ValidExecutionOptions {
-  // Obligations (property 6) whose window extends past the horizon are
-  // skipped — the run ended before they came due.
-  bool skip_obligations_past_horizon = true;
   // Declared outage windows. A firing obligation whose window overlaps an
   // outage of the trigger's site, the rule's LHS site, or a site one of its
   // RHS steps fires at is granted a fresh delta after the restart — the
@@ -87,7 +84,9 @@ struct ValidExecutionOptions {
 //   5. generated events name a rule their trigger matches, with LHS/RHS
 //      conditions satisfied at the right interpretations;
 //   6. every rule firing obligation is met within its deadline (or its
-//      step condition was false throughout the window);
+//      step condition was false at some instant of the window);
+//      obligations whose deadline falls after the horizon are skipped —
+//      the run ended before they came due;
 //   7. related rules process events in order (in-order delivery).
 //
 // Conditions are re-evaluated against the reconstructed timeline; items the

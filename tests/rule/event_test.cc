@@ -54,71 +54,93 @@ TEST(EventTest, AccessorsAndToString) {
   EXPECT_EQ(e.ToString(), "t=1.000s @SF Ws(salary1(17), 100, 150)");
 }
 
+// A parsed template compiled against its own slot map, with a frame sized
+// for it.
+struct CompiledTemplate {
+  EventTemplate tpl;
+  SlotMap slots;
+  BindingFrame frame;
+
+  bool Match(const Event& e) { return tpl.MatchesCompiled(e, &frame); }
+  uint16_t Slot(const std::string& var) const {
+    return static_cast<uint16_t>(slots.Find(var));
+  }
+  const Value& Get(const std::string& var) const {
+    return frame.Get(Slot(var));
+  }
+};
+
+CompiledTemplate Compile(const std::string& text) {
+  auto tpl = ParseTemplate(text);
+  EXPECT_TRUE(tpl.ok()) << text << ": " << tpl.status().ToString();
+  CompiledTemplate c{*tpl, {}, {}};
+  c.tpl.Compile(&c.slots);
+  c.frame.Resize(c.slots.size());
+  return c;
+}
+
 TEST(EventTemplateTest, MatchBindsVariables) {
-  auto tpl = ParseTemplate("N(salary1(n), b)");
-  ASSERT_TRUE(tpl.ok()) << tpl.status().ToString();
+  CompiledTemplate c = Compile("N(salary1(n), b)");
   Event e = MakeNotify("A", "salary1", {Value::Int(17)}, Value::Int(900));
-  Binding binding;
-  ASSERT_TRUE(tpl->Matches(e, &binding));
-  EXPECT_EQ(binding.at("n"), Value::Int(17));
-  EXPECT_EQ(binding.at("b"), Value::Int(900));
+  ASSERT_TRUE(c.Match(e));
+  EXPECT_EQ(c.Get("n"), Value::Int(17));
+  EXPECT_EQ(c.Get("b"), Value::Int(900));
 }
 
 TEST(EventTemplateTest, MismatchesLeaveBindingUntouched) {
-  auto tpl = ParseTemplate("N(salary1(n), b)");
-  ASSERT_TRUE(tpl.ok());
-  Binding binding;
+  CompiledTemplate c = Compile("N(salary1(n), b)");
   // Wrong kind.
   Event w = MakeNotify("A", "salary1", {Value::Int(1)}, Value::Int(2));
   w.kind = EventKind::kWrite;
-  EXPECT_FALSE(tpl->Matches(w, &binding));
+  EXPECT_FALSE(c.Match(w));
   // Wrong item base.
   Event other = MakeNotify("A", "salary9", {Value::Int(1)}, Value::Int(2));
-  EXPECT_FALSE(tpl->Matches(other, &binding));
-  EXPECT_TRUE(binding.empty());
+  EXPECT_FALSE(c.Match(other));
+  // Right item, wrong payload arity: the item binding is rolled back.
+  Event short_payload = MakeNotify("A", "salary1", {Value::Int(1)},
+                                   Value::Int(2));
+  short_payload.values.clear();
+  EXPECT_FALSE(c.Match(short_payload));
+  EXPECT_EQ(c.frame.num_bound(), 0u);
 }
 
 TEST(EventTemplateTest, ExistingBindingConstrainsMatch) {
-  auto tpl = ParseTemplate("N(salary1(n), b)");
-  ASSERT_TRUE(tpl.ok());
+  CompiledTemplate c = Compile("N(salary1(n), b)");
   Event e = MakeNotify("A", "salary1", {Value::Int(17)}, Value::Int(900));
-  Binding binding{{"n", Value::Int(99)}};
-  EXPECT_FALSE(tpl->Matches(e, &binding));
-  Binding ok_binding{{"n", Value::Int(17)}};
-  EXPECT_TRUE(tpl->Matches(e, &ok_binding));
+  c.frame.Set(c.Slot("n"), Value::Int(99));
+  EXPECT_FALSE(c.Match(e));
+  c.frame.Set(c.Slot("n"), Value::Int(17));
+  EXPECT_TRUE(c.Match(e));
 }
 
 TEST(EventTemplateTest, SitePinRestrictsMatch) {
-  auto tpl = ParseTemplate("N(X, b)@A");
-  ASSERT_TRUE(tpl.ok());
-  Binding binding;
+  CompiledTemplate c = Compile("N(X, b)@A");
   Event at_a = MakeNotify("A", "X", {}, Value::Int(1));
   Event at_b = MakeNotify("B", "X", {}, Value::Int(1));
-  EXPECT_TRUE(tpl->Matches(at_a, &binding));
-  EXPECT_FALSE(tpl->Matches(at_b, &binding));
+  EXPECT_TRUE(c.Match(at_a));
+  c.frame.Clear();
+  EXPECT_FALSE(c.Match(at_b));
 }
 
 TEST(EventTemplateTest, WsShorthandNormalizes) {
-  auto tpl = ParseTemplate("Ws(X, b)");
-  ASSERT_TRUE(tpl.ok());
-  EXPECT_EQ(tpl->values.size(), 2u);
-  EXPECT_TRUE(tpl->values[0].is_wildcard());
+  CompiledTemplate c = Compile("Ws(X, b)");
+  EXPECT_EQ(c.tpl.values.size(), 2u);
+  EXPECT_TRUE(c.tpl.values[0].is_wildcard());
   Event e;
   e.kind = EventKind::kWriteSpont;
   e.site = "A";
   e.item = ItemId{"X", {}};
   e.values = {Value::Int(1), Value::Int(2)};
-  Binding binding;
-  ASSERT_TRUE(tpl->Matches(e, &binding));
-  EXPECT_EQ(binding.at("b"), Value::Int(2));
+  ASSERT_TRUE(c.Match(e));
+  EXPECT_EQ(c.Get("b"), Value::Int(2));
 }
 
 TEST(EventTemplateTest, FalseTemplateNeverMatches) {
-  auto tpl = ParseTemplate("F");
-  ASSERT_TRUE(tpl.ok());
+  CompiledTemplate c = Compile("F");
   Event e = MakeNotify("A", "X", {}, Value::Int(1));
-  Binding binding;
-  EXPECT_FALSE(tpl->Matches(e, &binding));
+  EXPECT_FALSE(c.Match(e));
+  e.kind = EventKind::kFalse;
+  EXPECT_FALSE(c.Match(e));
 }
 
 TEST(EventTemplateTest, InstantiateGroundsEvent) {
@@ -143,17 +165,15 @@ TEST(EventTemplateTest, InstantiateGroundsEvent) {
 }
 
 TEST(EventTemplateTest, PeriodicTemplateMatchesPeriod) {
-  auto tpl = ParseTemplate("P(300)");
-  ASSERT_TRUE(tpl.ok());
+  CompiledTemplate c = Compile("P(300)");
   Event p;
   p.kind = EventKind::kPeriodic;
   p.site = "A";
   p.values = {Value::Int(300000)};  // canonical: period in ms
-  Binding binding;
-  EXPECT_TRUE(tpl->Matches(p, &binding));
+  EXPECT_TRUE(c.Match(p));
   Event p2 = p;
   p2.values = {Value::Int(60000)};
-  EXPECT_FALSE(tpl->Matches(p2, &binding));
+  EXPECT_FALSE(c.Match(p2));
 }
 
 TEST(EventTemplateTest, ToStringRoundTripsThroughParser) {

@@ -143,9 +143,12 @@ TEST(RuleIndexTest, EquivalenceWithLinearScanOnRandomStream) {
                   ")");
         break;
     }
+    SlotMap slots;  // each template's variables get slots from 0
+    tpl.Compile(&slots);
     index.Add(tpl, templates.size());
     templates.push_back(tpl);
   }
+  BindingFrame frame(4);
 
   auto random_event = [&]() {
     Event e;
@@ -181,15 +184,15 @@ TEST(RuleIndexTest, EquivalenceWithLinearScanOnRandomStream) {
     // Old path: full linear scan.
     std::vector<size_t> linear_fired;
     for (size_t t = 0; t < templates.size(); ++t) {
-      Binding b;
-      if (templates[t].Matches(e, &b)) linear_fired.push_back(t);
+      frame.Clear();
+      if (templates[t].MatchesCompiled(e, &frame)) linear_fired.push_back(t);
     }
     // New path: index lookup, then the same unification.
     std::vector<size_t> indexed_fired;
     index.Lookup(e, &candidates);
     for (size_t t : candidates) {
-      Binding b;
-      if (templates[t].Matches(e, &b)) indexed_fired.push_back(t);
+      frame.Clear();
+      if (templates[t].MatchesCompiled(e, &frame)) indexed_fired.push_back(t);
     }
     ASSERT_EQ(indexed_fired, linear_fired)
         << "dispatch divergence on event " << e.ToString();

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "src/rule/parser.h"
+#include "src/trace/streaming_checker.h"
 
 namespace hcm::trace {
 namespace {
@@ -11,7 +16,46 @@ using rule::Event;
 using rule::EventKind;
 using rule::ItemId;
 
-// Fixture around the propagation rule N(X, b) -> 5s WR(Y, b).
+// Everything a recorder delivers to its sink, kept so it can be played into
+// a StreamingChecker built later, once a test has chosen its rules. The
+// recorder feeds its sink only from SetInitialValue, AttachSink and Finish,
+// so the played feed is exactly what an attached checker would have seen.
+class FeedLog : public TraceSink {
+ public:
+  void OnInitialValue(const ItemId& item, const Value& value) override {
+    steps_.push_back([item, value](TraceSink* s) {
+      s->OnInitialValue(item, value);
+    });
+  }
+  void OnEvent(const Event& event) override {
+    steps_.push_back([event](TraceSink* s) { s->OnEvent(event); });
+  }
+  void OnWatermark(TimePoint w) override {
+    steps_.push_back([w](TraceSink* s) { s->OnWatermark(w); });
+  }
+  void OnFinish(TimePoint horizon) override {
+    steps_.push_back([horizon](TraceSink* s) { s->OnFinish(horizon); });
+  }
+
+  void PlayInto(TraceSink* sink) const {
+    for (const auto& step : steps_) step(sink);
+  }
+
+ private:
+  std::vector<std::function<void(TraceSink*)>> steps_;
+};
+
+// One checker's report on a test trace.
+struct DriverReport {
+  std::string driver;
+  ExecutionReport report;
+};
+
+// Fixture around the propagation rule N(X, b) -> 5s WR(Y, b). Every case
+// runs through both drivers of the property core: Check returns the
+// offline CheckValidExecution report and the report of a StreamingChecker
+// fed the same recording (rec_ has a tee-mode sink attached), and each
+// case asserts on both.
 class ValidExecutionTest : public ::testing::Test {
  protected:
   ValidExecutionTest() {
@@ -19,6 +63,30 @@ class ValidExecutionTest : public ::testing::Test {
     EXPECT_TRUE(r.ok());
     rule_ = *r;
     rule_.id = 1;
+    rec_.AttachSink(&feed_, /*drain=*/false);
+  }
+
+  // `t` must be the trace `feed` recorded.
+  static std::vector<DriverReport> Check(
+      const Trace& t, const std::vector<rule::Rule>& rules,
+      const FeedLog& feed, const ValidExecutionOptions& opts = {}) {
+    std::vector<DriverReport> out;
+    out.push_back({"offline", CheckValidExecution(t, rules, opts)});
+    StreamingCheckOptions sopts;
+    sopts.valid = opts;
+    StreamingChecker streaming(rules, {}, sopts);
+    feed.PlayInto(&streaming);
+    EXPECT_TRUE(streaming.finished());
+    out.push_back({"streaming", streaming.execution_report()});
+    // Both drivers report through one core: the texts agree exactly.
+    EXPECT_EQ(out[1].report.ToString(), out[0].report.ToString());
+    return out;
+  }
+
+  std::vector<DriverReport> Check(const Trace& t,
+                                  const std::vector<rule::Rule>& rules,
+                                  const ValidExecutionOptions& opts = {}) {
+    return Check(t, rules, feed_, opts);
   }
 
   Event Notify(int64_t ms, int64_t v) {
@@ -45,8 +113,16 @@ class ValidExecutionTest : public ::testing::Test {
   }
 
   rule::Rule rule_;
+  FeedLog feed_;
   TraceRecorder rec_;
 };
+
+bool HasProperty(const ExecutionReport& report, int property) {
+  for (const auto& v : report.violations) {
+    if (v.property == property) return true;
+  }
+  return false;
+}
 
 TEST_F(ValidExecutionTest, CleanRunIsValid) {
   int64_t n1 = rec_.Record(Notify(100, 7));
@@ -54,13 +130,17 @@ TEST_F(ValidExecutionTest, CleanRunIsValid) {
   int64_t n2 = rec_.Record(Notify(2000, 9));
   rec_.Record(WriteRequest(3000, 9, n2));
   Trace t = rec_.Finish(TimePoint::FromMillis(60000));
-  auto report = CheckValidExecution(t, {rule_});
-  EXPECT_TRUE(report.valid) << report.ToString();
-  EXPECT_EQ(report.obligations_checked, 2u);
+  for (const auto& [driver, report] : Check(t, {rule_})) {
+    SCOPED_TRACE(driver);
+    EXPECT_TRUE(report.valid) << report.ToString();
+    EXPECT_EQ(report.obligations_checked, 2u);
+  }
 }
 
 TEST_F(ValidExecutionTest, Property1OutOfOrderEvents) {
-  // The recorder merges into time order, so build the trace directly.
+  // The recorder merges into time order, so build the trace directly. Only
+  // the offline driver runs: the streaming checker's equivalence envelope
+  // assumes a time-nondecreasing feed.
   Trace t;
   t.events = {Notify(2000, 1), Notify(100, 2)};  // goes back in time
   t.events[0].id = 0;
@@ -85,9 +165,11 @@ TEST_F(ValidExecutionTest, Property2InconsistentOldValue) {
   w2.values = {Value::Int(99), Value::Int(7)};
   rec_.Record(w2);
   Trace t = rec_.Finish(TimePoint::FromMillis(60000));
-  auto report = CheckValidExecution(t, {});
-  ASSERT_FALSE(report.valid) << report.ToString();
-  EXPECT_EQ(report.violations[0].property, 2);
+  for (const auto& [driver, report] : Check(t, {})) {
+    SCOPED_TRACE(driver);
+    ASSERT_FALSE(report.valid) << report.ToString();
+    EXPECT_EQ(report.violations[0].property, 2);
+  }
 }
 
 TEST_F(ValidExecutionTest, Property4SpontaneousWithTrigger) {
@@ -95,9 +177,11 @@ TEST_F(ValidExecutionTest, Property4SpontaneousWithTrigger) {
   n.trigger_event_id = 55;  // spontaneous events must not carry triggers
   rec_.Record(n);
   Trace t = rec_.Finish(TimePoint::FromMillis(60000));
-  auto report = CheckValidExecution(t, {rule_});
-  ASSERT_FALSE(report.valid);
-  EXPECT_EQ(report.violations[0].property, 4);
+  for (const auto& [driver, report] : Check(t, {rule_})) {
+    SCOPED_TRACE(driver);
+    ASSERT_FALSE(report.valid);
+    EXPECT_EQ(report.violations[0].property, 4);
+  }
 }
 
 TEST_F(ValidExecutionTest, Property5UnknownRule) {
@@ -106,55 +190,54 @@ TEST_F(ValidExecutionTest, Property5UnknownRule) {
   g.rule_id = 42;  // no such rule
   rec_.Record(g);
   Trace t = rec_.Finish(TimePoint::FromMillis(60000));
-  auto report = CheckValidExecution(t, {rule_});
-  ASSERT_FALSE(report.valid);
-  bool found5 = false;
-  for (const auto& v : report.violations) {
-    if (v.property == 5) found5 = true;
+  for (const auto& [driver, report] : Check(t, {rule_})) {
+    SCOPED_TRACE(driver);
+    ASSERT_FALSE(report.valid);
+    EXPECT_TRUE(HasProperty(report, 5)) << report.ToString();
   }
-  EXPECT_TRUE(found5) << report.ToString();
 }
 
 TEST_F(ValidExecutionTest, Property5ValueMismatch) {
   int64_t n1 = rec_.Record(Notify(100, 7));
   rec_.Record(WriteRequest(1000, 999, n1));  // forwarded the wrong value
   Trace t = rec_.Finish(TimePoint::FromMillis(60000));
-  auto report = CheckValidExecution(t, {rule_});
-  ASSERT_FALSE(report.valid);
-  bool found5 = false;
-  for (const auto& v : report.violations) {
-    if (v.property == 5) found5 = true;
+  for (const auto& [driver, report] : Check(t, {rule_})) {
+    SCOPED_TRACE(driver);
+    ASSERT_FALSE(report.valid);
+    EXPECT_TRUE(HasProperty(report, 5)) << report.ToString();
   }
-  EXPECT_TRUE(found5) << report.ToString();
 }
 
 TEST_F(ValidExecutionTest, Property5DeadlineMiss) {
   int64_t n1 = rec_.Record(Notify(100, 7));
   rec_.Record(WriteRequest(100 + 5001, 7, n1));  // 1ms past the 5s delta
   Trace t = rec_.Finish(TimePoint::FromMillis(60000));
-  auto report = CheckValidExecution(t, {rule_});
-  ASSERT_FALSE(report.valid);
+  for (const auto& [driver, report] : Check(t, {rule_})) {
+    SCOPED_TRACE(driver);
+    ASSERT_FALSE(report.valid);
+    EXPECT_TRUE(HasProperty(report, 5)) << report.ToString();
+  }
 }
 
 TEST_F(ValidExecutionTest, Property6MissedObligation) {
   rec_.Record(Notify(100, 7));  // never acted upon
   Trace t = rec_.Finish(TimePoint::FromMillis(60000));
-  auto report = CheckValidExecution(t, {rule_});
-  ASSERT_FALSE(report.valid);
-  EXPECT_EQ(report.violations[0].property, 6);
+  for (const auto& [driver, report] : Check(t, {rule_})) {
+    SCOPED_TRACE(driver);
+    ASSERT_FALSE(report.valid);
+    EXPECT_EQ(report.violations[0].property, 6);
+  }
 }
 
 TEST_F(ValidExecutionTest, Property6ObligationNotYetDueIsSkipped) {
   rec_.Record(Notify(100, 7));
   // Horizon before the 5s deadline: the run simply ended first.
   Trace t = rec_.Finish(TimePoint::FromMillis(2000));
-  auto report = CheckValidExecution(t, {rule_});
-  EXPECT_TRUE(report.valid) << report.ToString();
-  // With the option disabled, it is a violation.
-  ValidExecutionOptions opts;
-  opts.skip_obligations_past_horizon = false;
-  auto strict = CheckValidExecution(t, {rule_}, opts);
-  EXPECT_FALSE(strict.valid);
+  for (const auto& [driver, report] : Check(t, {rule_})) {
+    SCOPED_TRACE(driver);
+    EXPECT_TRUE(report.valid) << report.ToString();
+    EXPECT_EQ(report.obligations_checked, 0u);
+  }
 }
 
 TEST_F(ValidExecutionTest, Property6ProhibitionViolated) {
@@ -169,11 +252,13 @@ TEST_F(ValidExecutionTest, Property6ProhibitionViolated) {
   w.values = {Value::Null(), Value::Int(1)};
   rec_.Record(w);
   Trace t = rec_.Finish(TimePoint::FromMillis(60000));
-  auto report = CheckValidExecution(t, {*forbid});
-  ASSERT_FALSE(report.valid);
-  EXPECT_EQ(report.violations[0].property, 6);
-  EXPECT_NE(report.violations[0].message.find("prohibition"),
-            std::string::npos);
+  for (const auto& [driver, report] : Check(t, {*forbid})) {
+    SCOPED_TRACE(driver);
+    ASSERT_FALSE(report.valid);
+    EXPECT_EQ(report.violations[0].property, 6);
+    EXPECT_NE(report.violations[0].message.find("prohibition"),
+              std::string::npos);
+  }
 }
 
 TEST_F(ValidExecutionTest, Property6ConditionalStepMaySkip) {
@@ -186,16 +271,25 @@ TEST_F(ValidExecutionTest, Property6ConditionalStepMaySkip) {
   rec_.SetInitialValue(ItemId{"CachedX", {}}, Value::Int(7));
   rec_.Record(Notify(100, 7));
   Trace t = rec_.Finish(TimePoint::FromMillis(60000));
-  auto report = CheckValidExecution(t, {*r});
-  EXPECT_TRUE(report.valid) << report.ToString();
+  for (const auto& [driver, report] : Check(t, {*r})) {
+    SCOPED_TRACE(driver);
+    EXPECT_TRUE(report.valid) << report.ToString();
+  }
   // A notification with a different value must fire. Finish moved the
   // trace out of rec_, so rebuild the scenario on a fresh recorder.
+  FeedLog feed2;
   TraceRecorder rec2;
+  rec2.AttachSink(&feed2, /*drain=*/false);
   rec2.SetInitialValue(ItemId{"CachedX", {}}, Value::Int(7));
   rec2.Record(Notify(10000, 8));
   Trace t2 = rec2.Finish(TimePoint::FromMillis(60000));
-  auto report2 = CheckValidExecution(t2, {*r});
-  EXPECT_FALSE(report2.valid);
+  for (const auto& [driver, report] : Check(t2, {*r}, feed2)) {
+    SCOPED_TRACE(driver);
+    EXPECT_FALSE(report.valid);
+    EXPECT_NE(report.ToString().find("condition held throughout"),
+              std::string::npos)
+        << report.ToString();
+  }
 }
 
 TEST_F(ValidExecutionTest, Property7OutOfOrderProcessing) {
@@ -205,22 +299,22 @@ TEST_F(ValidExecutionTest, Property7OutOfOrderProcessing) {
   rec_.Record(WriteRequest(1000, 2, n2));
   rec_.Record(WriteRequest(2000, 1, n1));
   Trace t = rec_.Finish(TimePoint::FromMillis(60000));
-  auto report = CheckValidExecution(t, {rule_});
-  ASSERT_FALSE(report.valid);
-  bool found7 = false;
-  for (const auto& v : report.violations) {
-    if (v.property == 7) found7 = true;
+  for (const auto& [driver, report] : Check(t, {rule_})) {
+    SCOPED_TRACE(driver);
+    ASSERT_FALSE(report.valid);
+    EXPECT_TRUE(HasProperty(report, 7)) << report.ToString();
   }
-  EXPECT_TRUE(found7) << report.ToString();
 }
 
 TEST_F(ValidExecutionTest, ReportToStringMentionsProperties) {
   rec_.Record(Notify(100, 7));
   Trace t = rec_.Finish(TimePoint::FromMillis(60000));
-  auto report = CheckValidExecution(t, {rule_});
-  std::string s = report.ToString();
-  EXPECT_NE(s.find("INVALID"), std::string::npos);
-  EXPECT_NE(s.find("property 6"), std::string::npos);
+  for (const auto& [driver, report] : Check(t, {rule_})) {
+    SCOPED_TRACE(driver);
+    std::string s = report.ToString();
+    EXPECT_NE(s.find("INVALID"), std::string::npos);
+    EXPECT_NE(s.find("property 6"), std::string::npos);
+  }
 }
 
 TEST_F(ValidExecutionTest, ViolationCapRespected) {
@@ -230,9 +324,11 @@ TEST_F(ValidExecutionTest, ViolationCapRespected) {
     rec_.Record(Notify(100 + i, 7));  // ten missed obligations
   }
   Trace t = rec_.Finish(TimePoint::FromMillis(60000));
-  auto report = CheckValidExecution(t, {rule_}, opts);
-  EXPECT_FALSE(report.valid);
-  EXPECT_EQ(report.violations.size(), 2u);
+  for (const auto& [driver, report] : Check(t, {rule_}, opts)) {
+    SCOPED_TRACE(driver);
+    EXPECT_FALSE(report.valid);
+    EXPECT_EQ(report.violations.size(), 2u);
+  }
 }
 
 }  // namespace
