@@ -750,8 +750,8 @@ struct StreamingChecker::Impl {
   void Finish(TimePoint h) {
     horizon = h;
     ProcessBatch(kFarFuture);
-    // Resolve or drop every remaining obligation against the final horizon
-    // (same skip rule the offline checker applies per obligation).
+    // Resolve every remaining obligation against the final horizon; one
+    // that comes due after it is dropped (the run ended first).
     while (!by_deadline.empty()) {
       auto it = by_deadline.begin();
       uint64_t key = it->second;

@@ -8,10 +8,16 @@
 //
 // The checker is a TraceSink: the recorder feeds it events in final merge
 // order with final dense ids (TraceRecorder renumbers the safe prefix per
-// flush), watermarks tell it which instants are complete, and
-// OnFinish triggers the same phase-ordered report assembly the offline
-// checker performs — through the shared bounded-sink/ordered-merge core in
-// check_window.h, so capping semantics agree exactly.
+// flush), and watermarks tell it which instants are complete. It is the
+// streaming driver of the valid-execution property core (check_window.h),
+// which CheckValidExecution drives offline: the core decides every
+// property and spells every violation, reading events and state through
+// this checker's live ring and item store. The driver keeps what only a
+// stream needs — the pending queue, batch-wise absorption of complete
+// instants, the deadline queue of open obligations, property-7 channel
+// sets, state retirement and the guarantee collector — and reports
+// through the same bounded sinks and ordered merge, so capping and
+// ordering agree exactly.
 //
 // State retirement:
 //   - events: the live ring keeps events within one maximal rule window of
@@ -22,8 +28,8 @@
 //     condition windows can still probe; the last segment before the cut
 //     is kept (with its true start) so historical reads stay exact;
 //   - obligations: resolved the moment the watermark passes their
-//     (outage-extended) deadline, through the same step walk the offline
-//     checker runs — all in-window fires have arrived by then;
+//     (outage-extended) deadline — all in-window fires have arrived by
+//     then;
 //   - property-7 pairs: a channel's sorted prefix is checked and dropped
 //     once no future pair (trigger time >= watermark - delta_max) can sort
 //     into it;
