@@ -91,9 +91,10 @@ class Sink {
     AddSeq(ord, next_seq_++, property, std::move(ids), std::move(message));
   }
 
-  // Explicit-sequence variant for emitters that discover violations out of
-  // their canonical order (the streaming obligation resolver): `seq` must
-  // reproduce the relative order a sequential scan would emit within `ord`.
+  // Explicit-sequence variant for emitters that may discover violations out
+  // of their canonical order (property-6 obligations, which the streaming
+  // driver resolves late): `seq` must reproduce the relative order a
+  // sequential scan would emit within `ord`.
   void AddSeq(uint64_t ord, uint32_t seq, int property,
               std::vector<int64_t> ids, std::string message) {
     ++found_;
