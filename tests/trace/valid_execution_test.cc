@@ -240,6 +240,36 @@ TEST_F(ValidExecutionTest, Property6ObligationNotYetDueIsSkipped) {
   }
 }
 
+TEST_F(ValidExecutionTest, Property6OutagesExtendDeadlineToFixedPoint) {
+  rec_.Record(Notify(100, 7));  // the WR never fires
+  Trace t = rec_.Finish(TimePoint::FromMillis(17000));
+  // The step's site is unknown to the trace, so every outage covers the
+  // rule. Listed out of order: the first pass reaches only [1s, 8s), whose
+  // restart plus a fresh 5s delta (13s) reaches into [12.5s, 14s); the
+  // second pass extends to 19s, past the 17s horizon, so the obligation is
+  // skipped.
+  auto outage = [](int64_t from_ms, int64_t to_ms) {
+    return SiteOutage{"B", TimePoint::FromMillis(from_ms),
+                      TimePoint::FromMillis(to_ms)};
+  };
+  ValidExecutionOptions opts;
+  opts.outages = {outage(12500, 14000), outage(1000, 8000)};
+  for (const auto& [driver, report] : Check(t, {rule_}, opts)) {
+    SCOPED_TRACE(driver);
+    EXPECT_TRUE(report.valid) << report.ToString();
+    EXPECT_EQ(report.obligations_checked, 0u);
+  }
+  // The first outage alone moves the deadline to 13s, before the horizon:
+  // the missed obligation is reported.
+  opts.outages = {outage(1000, 8000)};
+  for (const auto& [driver, report] : Check(t, {rule_}, opts)) {
+    SCOPED_TRACE(driver);
+    ASSERT_FALSE(report.valid);
+    EXPECT_EQ(report.obligations_checked, 1u);
+    EXPECT_EQ(report.violations[0].property, 6);
+  }
+}
+
 TEST_F(ValidExecutionTest, Property6ProhibitionViolated) {
   auto forbid = rule::ParseRule("Ws(X, b) -> 0s F");
   ASSERT_TRUE(forbid.ok());
